@@ -20,7 +20,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import gamma as _gamma
 
 from .fields import Params, RadialProfile, ScalarField
-from .kernels import bilinear_constant, screening_weight
+from .kernels import bilinear_constant, gauss_panels, screening_weight
 
 __all__ = [
     "BlowupConfig",
@@ -83,22 +83,19 @@ class DiagnosticsSeries:
     def column(self, name: str) -> np.ndarray:
         return np.asarray(self.columns[name])
 
-    def to_csv(self, path, time_name: str = "t") -> None:
-        names = [time_name] + list(self.columns)
+    def _write(self, path, sep: str, header_prefix: str, time_name: str) -> None:
         with open(path, "w") as fh:
-            fh.write(",".join(names) + "\n")
+            fh.write(header_prefix + sep.join([time_name] + list(self.columns)) + "\n")
             for i, t in enumerate(self.times):
                 row = [f"{t:.17g}"] + [f"{self.columns[c][i]:.17g}" for c in self.columns]
-                fh.write(",".join(row) + "\n")
+                fh.write(sep.join(row) + "\n")
+
+    def to_csv(self, path, time_name: str = "t") -> None:
+        self._write(path, ",", "", time_name)
 
     def to_dat(self, path, time_name: str = "t") -> None:
         """gnuplot-compatible whitespace columns with a commented header."""
-        names = [time_name] + list(self.columns)
-        with open(path, "w") as fh:
-            fh.write("# " + " ".join(names) + "\n")
-            for i, t in enumerate(self.times):
-                row = [f"{t:.17g}"] + [f"{self.columns[c][i]:.17g}" for c in self.columns]
-                fh.write(" ".join(row) + "\n")
+        self._write(path, " ", "# ", time_name)
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +113,7 @@ def _graded_weighted_integral(value_fn, origin_value: float, L: float, n: int,
         brk.append(w)
         if w < 1e-9 * L:
             break
-    brk = np.unique(np.asarray(brk + [0.0]))
-    xg, wg = np.polynomial.legendre.leggauss(n_gl)
-    lo, hi = brk[:-1], brk[1:]
-    r = (0.5 * (hi - lo)[:, None] * xg[None, :] + 0.5 * (hi + lo)[:, None]).ravel()
-    wt = (0.5 * (hi - lo)[:, None] * wg[None, :]).ravel()
+    r, wt = gauss_panels(np.unique(np.asarray(brk + [0.0])), n_gl)
     vals = (np.asarray(value_fn(r), dtype=float) - origin_value) * r ** (-1.0 - delta)
     return sphere_area(n) * float(np.dot(wt, vals))
 

@@ -7,89 +7,70 @@ The radial velocity of a radial function reduces to a 1-D integral against
 
 with q = rho / r and c = (a / r)^2 (the inner integral over the kernel height
 is done analytically).  For n = 2 the integral reduces to complete elliptic
-integrals, for n = 3 to elementary logarithms; other n fall back to graded
+integrals, for n = 3 to elementary logarithms, both written as Gauss
+hypergeometric functions away from q = 1; other n fall back to graded
 Gauss-Legendre panels.  Psi_n has an integrable logarithmic singularity at
 q = 1; callers must not place quadrature nodes exactly there.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy import special
 
-__all__ = ["psi", "psi_quadrature", "screening_weight", "bilinear_constant"]
+__all__ = ["psi", "psi_quadrature", "screening_weight", "bilinear_constant", "gauss_panels"]
 
-_GL32 = np.polynomial.legendre.leggauss(32)
+# cached: building a rule costs ~0.2 ms and gauss_panels runs once per
+# radial-velocity target
+_leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
 # relative size of c below which the difference of the two closed forms
 # loses precision and the cancellation-free quadrature path is used instead
 _SMALL_C = 1e-5
 
 
-def _itilde_series(m):
-    # int_0^{pi/2} sin^2 cos^2 (1 - m sin^2)^{-3/2} = (pi/16) sum_k C_k m^k,
-    # C_0 = 1, C_k = C_{k-1} (k + 1/2)^2 / (k (k + 2)); converges for m < 1
-    acc = np.zeros_like(m)
-    term = np.ones_like(m)
-    for k in range(1, 48):
-        term = term * m * (k + 0.5) ** 2 / (k * (k + 2.0))
-        acc += term
-        if np.all(term < 1e-17 * (1.0 + acc)):
-            break
-    return (np.pi / 16.0) * (1.0 + acc)
-
-
 def _j2(p, q, pm):
     """int_0^pi sin^2 mu (p - 2 q cos mu)^{-3/2} dmu with pm = p - 2q supplied
     in cancellation-free form."""
     pp = p + 2.0 * q
-    m = np.where(q > 0.0, 4.0 * q / pp, 0.0)
+    m = 4.0 * q / pp
     out = np.empty_like(p)
     small = m < 0.5
-    if np.any(small):
-        out[small] = 8.0 * pp[small] ** -1.5 * _itilde_series(m[small])
+    out[small] = (np.pi / 2.0) * pp[small] ** -1.5 * special.hyp2f1(1.5, 1.5, 3.0, m[small])
     big = ~small
-    if np.any(big):
-        mb = m[big]
-        K = special.ellipkm1(np.maximum(pm[big] / pp[big], 5e-324))
-        E = special.ellipe(mb)
-        out[big] = 8.0 * pp[big] ** -1.5 * ((2.0 - mb) * K - 2.0 * E) / mb ** 2
+    mb = m[big]
+    K = special.ellipkm1(np.maximum(pm[big] / pp[big], 5e-324))
+    E = special.ellipe(mb)
+    out[big] = 8.0 * pp[big] ** -1.5 * ((2.0 - mb) * K - 2.0 * E) / mb ** 2
     return out
 
 
 def _t3(p, q, pm):
     """int_0^pi sin^3 mu (p - 2 q cos mu)^{-2} dmu."""
+    x = 2.0 * q / p
     out = np.empty_like(p)
-    zero = q == 0.0
-    if np.any(zero):
-        out[zero] = (4.0 / 3.0) / p[zero] ** 2
-    nz = ~zero
-    if np.any(nz):
-        pn, qn, pmn = p[nz], q[nz], pm[nz]
-        x = 2.0 * qn / pn
-        res = np.empty_like(pn)
-        small = x < 0.5
-        if np.any(small):
-            ps, qs, xs = pn[small], qn[small], x[small]
-            acc = np.zeros_like(ps)
-            xpow = xs ** 3
-            for j in range(1, 60):
-                term = (ps / (2.0 * qs ** 3)) * xpow / (2 * j + 1)
-                acc += term
-                xpow = xpow * xs * xs
-                if np.all(term < 1e-17 * acc):
-                    break
-            res[small] = acc
-        big = ~small
-        if np.any(big):
-            pb, qb, pmb = pn[big], qn[big], pmn[big]
-            res[big] = (pb / (4.0 * qb ** 3)) * np.log((pb + 2.0 * qb) / np.maximum(pmb, 5e-324)) \
-                - 1.0 / qb ** 2
-        out[nz] = res
+    small = x < 0.5
+    out[small] = (4.0 / 3.0) / p[small] ** 2 * special.hyp2f1(1.0, 1.5, 2.5, x[small] ** 2)
+    big = ~small
+    pb, qb, pmb = p[big], q[big], pm[big]
+    out[big] = (pb / (4.0 * qb ** 3)) * np.log((pb + 2.0 * qb) / np.maximum(pmb, 5e-324)) \
+        - 1.0 / qb ** 2
     return out
 
 
-def psi_quadrature(n: int, q, c, n_panels_hint: int = 0):
+def gauss_panels(breaks, n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on every panel
+    [breaks[i], breaks[i+1]], flattened panel by panel."""
+    xg, wg = _leggauss(n)
+    lo, hi = breaks[:-1], breaks[1:]
+    x = (0.5 * (hi - lo)[:, None] * xg[None, :] + 0.5 * (hi + lo)[:, None]).ravel()
+    w = (0.5 * (hi - lo)[:, None] * wg[None, :]).ravel()
+    return x, w
+
+
+def psi_quadrature(n: int, q, c):
     """Psi_n by graded Gauss-Legendre panels in mu, cancellation-free bracket.
 
     Works for any n >= 2 and any c >= 0; used as the generic fallback and as
@@ -99,7 +80,7 @@ def psi_quadrature(n: int, q, c, n_panels_hint: int = 0):
     c = np.broadcast_to(np.asarray(c, dtype=float), q.shape)
     e = 0.5 * (n + 1)
     out = np.empty_like(q)
-    xg, wg = _GL32
+    xg, wg = _leggauss(32)
     for idx in np.ndindex(q.shape):
         qi, ci = q[idx], c[idx]
         d = max(abs(1.0 - qi), 1e-9)
@@ -124,8 +105,8 @@ def psi_quadrature(n: int, q, c, n_panels_hint: int = 0):
 def psi(n: int, q, c):
     """Psi_n(q, c) for arrays q >= 0 and c > 0 (broadcastable).
 
-    n = 2 and n = 3 use closed forms with series branches where the elliptic
-    or logarithmic expressions cancel; elements with c below the
+    n = 2 and n = 3 use closed forms with hypergeometric branches where the
+    elliptic or logarithmic expressions cancel; elements with c below the
     cancellation threshold fall back to direct quadrature.
     """
     q = np.asarray(q, dtype=float)

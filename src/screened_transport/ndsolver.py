@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 import scipy.fft as sfft
 
 from .blowup import BlowupConfig, DiagnosticsSeries, blowup_functional
 from .fields import Grid, Params, ScalarField, max_gradient, sobolev_norm
+from .rk4 import Stop, rk4
 from .transform import _unit_direction_symbols
 
 __all__ = [
@@ -35,13 +35,7 @@ __all__ = [
 
 DT_MIN = 1e-8
 RESOLVED_TAIL = 1e-10
-
-
-class NdStop(Enum):
-    TIME_LIMIT = "time_limit"
-    GRADIENT_THRESHOLD = "gradient_threshold"
-    DT_UNDERFLOW = "dt_underflow"
-    NONFINITE = "nonfinite"
+NdStop = Stop
 
 
 @dataclass
@@ -87,18 +81,19 @@ def rhs(state: NdState, workspace: _Workspace | None = None) -> ScalarField:
     return ScalarField(state.rho.grid, out)
 
 
-def step_rk4(state: NdState, dt: float, workspace: _Workspace | None = None):
+def step_rk4(state: NdState, dt: float, workspace: _Workspace | None = None, k1=None):
     """Classical RK4 advance; returns (new_state, None) or
-    (state, NdStop.NONFINITE) when the step produces nonfinite values."""
+    (state, NdStop.NONFINITE) when the step produces nonfinite values.
+
+    `k1` is the right-hand side at `state` when the caller already has it.
+    """
     if not dt > 0:
         raise ValueError("dt must be positive")
     ws = workspace or _Workspace(state.rho.grid, state.params)
     v = state.rho.values
-    k1, _ = ws.advection(v)
-    k2, _ = ws.advection(v + 0.5 * dt * k1)
-    k3, _ = ws.advection(v + 0.5 * dt * k2)
-    k4, _ = ws.advection(v + dt * k3)
-    new = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if k1 is None:
+        k1, _ = ws.advection(v)
+    new = rk4(v, dt, k1, lambda y: ws.advection(y)[0])
     if not np.isfinite(new).all():
         return state, NdStop.NONFINITE
     return replace(state, time=state.time + dt, rho=ScalarField(state.rho.grid, new)), None
@@ -203,7 +198,7 @@ def run_nd(rho0: ScalarField, params: Params, *,
     next_snap = snapshot_interval if snapshot_interval else None
     si = 0
     while state.time < t_max:
-        _, umax = ws.advection(state.rho.values)
+        k1, umax = ws.advection(state.rho.values)
         dt = float(np.clip(cfl * grid.spacing / (params.g * umax + 1e-300), dt_min, dt_max))
         if dt <= dt_min * (1.0 + 1e-12):
             stop = NdStop.DT_UNDERFLOW
@@ -214,7 +209,7 @@ def run_nd(rho0: ScalarField, params: Params, *,
             dt = max(target - state.time, 1e-13)
         elif state.time + dt > t_max:
             dt = t_max - state.time + 1e-13
-        state2, fail = step_rk4(state, dt, ws)
+        state2, fail = step_rk4(state, dt, ws, k1)
         if fail is not None:
             stop = fail
             break

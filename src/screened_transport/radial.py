@@ -13,12 +13,12 @@ fraction of its initial size) is the discrete signature of gradient blow-up.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
 from .blowup import BlowupConfig, DiagnosticsSeries, blowup_functional
 from .fields import Params, RadialProfile
+from .rk4 import Stop, rk4
 from .transform import radial_velocity
 
 __all__ = [
@@ -33,12 +33,7 @@ __all__ = [
 ]
 
 COLLISION_FRACTION = 1e-6
-
-
-class RadialStop(Enum):
-    TIME_LIMIT = "time_limit"
-    GRADIENT_THRESHOLD = "gradient_threshold"
-    MARKERS_COLLIDED = "markers_collided"
+RadialStop = Stop
 
 
 def blended_markers(M: int, support_radius: float, cluster: float = 0.6) -> np.ndarray:
@@ -114,11 +109,12 @@ def _collided(positions: np.ndarray, gaps0: np.ndarray) -> bool:
     return bool(np.any(np.diff(positions) <= COLLISION_FRACTION * gaps0))
 
 
-def step(state: RadialState, dt: float, params: Params):
+def step(state: RadialState, dt: float, params: Params, k1=None):
     """One classical RK4 advance of the marker positions under g * u_r.
 
     Values are carried unchanged; the profile seen by each stage is rebuilt
-    from that stage's positions.  Returns (new_state, None) or
+    from that stage's positions.  `k1` is g * u_r at the current positions
+    when the caller already has it.  Returns (new_state, None) or
     (state, RadialStop.MARKERS_COLLIDED) when ordering is lost or a gap
     closes below the collision fraction of its initial size.
     """
@@ -133,21 +129,10 @@ def step(state: RadialState, dt: float, params: Params):
         prof = RadialProfile(pos, state.values)
         return g * radial_velocity(prof, params, pos)
 
-    k1 = vel(state.positions)
-    stages = [k1]
-    for coeff in (0.5, 0.5, 1.0):
-        if stages[-1] is None:
-            return state, RadialStop.MARKERS_COLLIDED
-        p = state.positions + coeff * dt * stages[-1]
-        p[0] = 0.0
-        v = vel(p)
-        stages.append(v)
-    if stages[-1] is None:
-        return state, RadialStop.MARKERS_COLLIDED
-    k1, k2, k3, k4 = stages
-    new_pos = state.positions + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    new_pos[0] = 0.0
-    if np.any(np.diff(new_pos) <= 0.0) or _collided(new_pos, gaps0):
+    if k1 is None:
+        k1 = vel(state.positions)
+    new_pos = rk4(state.positions, dt, k1, vel)
+    if new_pos is None or np.any(np.diff(new_pos) <= 0.0) or _collided(new_pos, gaps0):
         return state, RadialStop.MARKERS_COLLIDED
     return replace(state, time=state.time + dt, positions=new_pos), None
 
@@ -212,7 +197,7 @@ def run_radial(initial: RadialProfile, params: Params, *,
             dt = max(target - state.time, 1e-13)
         elif state.time + dt > t_max:
             dt = t_max - state.time + 1e-13
-        state2, fail = step(state, dt, params)
+        state2, fail = step(state, dt, params, v)
         if fail is not None:
             stop = fail
             break

@@ -23,8 +23,9 @@ from .config import ExperimentConfig
 from .fields import Params, bump_profile, make_grid, profile_to_csv, sample_radial, save_field
 from .inequalities import (CertificateReport, certify_bilinear, certify_pointwise,
                            report_to_json, shipped_families)
-from .ndsolver import NdStop, run_nd
-from .radial import RadialStop, run_radial
+from .ndsolver import run_nd
+from .radial import run_radial
+from .rk4 import Stop
 from .transform import limit_report, limit_report_to_csv
 
 __all__ = ["run", "EXIT_CODES", "OUTPUT_ROOT_ENV"]
@@ -34,13 +35,12 @@ OUTPUT_ROOT_ENV = "SCREENED_TRANSPORT_OUTPUT_ROOT"
 EXIT_CODES = {
     "clean": 0,
     "config_error": 2,
-    NdStop.TIME_LIMIT: 0,
-    NdStop.GRADIENT_THRESHOLD: 10,
-    NdStop.DT_UNDERFLOW: 11,
-    NdStop.NONFINITE: 13,
-    RadialStop.TIME_LIMIT: 0,
-    RadialStop.GRADIENT_THRESHOLD: 10,
-    RadialStop.MARKERS_COLLIDED: 12,
+    "certificate_failed": 14,
+    Stop.TIME_LIMIT: 0,
+    Stop.GRADIENT_THRESHOLD: 10,
+    Stop.DT_UNDERFLOW: 11,
+    Stop.MARKERS_COLLIDED: 12,
+    Stop.NONFINITE: 13,
 }
 
 
@@ -211,7 +211,7 @@ def _run_sweep_mode(cfg: ExperimentConfig, outdir: str, threads: int = 1):
     report_to_json(agg_b, b_path)
     files.append(b_path)
     ok = agg_p.passed and agg_b.passed
-    return ("clean" if ok else "config_error"), files, {
+    return ("clean" if ok else "certificate_failed"), files, {
         "pointwise_pass": agg_p.passed, "bilinear_pass": agg_b.passed}
 
 

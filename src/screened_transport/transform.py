@@ -30,7 +30,7 @@ from scipy.interpolate import RectBivariateSpline
 from scipy.ndimage import map_coordinates
 
 from .fields import Grid, Params, ScalarField, VectorField
-from .kernels import psi
+from .kernels import gauss_panels, psi
 
 __all__ = [
     "KernelKind",
@@ -267,15 +267,11 @@ def _velocity_once(prof, params: Params, targets: np.ndarray,
                    background: int, n_gl: int, depth: int) -> np.ndarray:
     n, a = params.n, params.a
     support = prof.support_radius
-    xg, wg = np.polynomial.legendre.leggauss(n_gl)
     out = np.zeros_like(targets)
     for i, r in enumerate(targets):
         if r <= 0.0:
             continue
-        brk = _radial_quadrature_nodes(r, support, background, depth)
-        lo, hi = brk[:-1], brk[1:]
-        rho = (0.5 * (hi - lo)[:, None] * xg[None, :] + 0.5 * (hi + lo)[:, None]).ravel()
-        wt = (0.5 * (hi - lo)[:, None] * wg[None, :]).ravel()
+        rho, wt = gauss_panels(_radial_quadrature_nodes(r, support, background, depth), n_gl)
         vals = psi(n, rho / r, (a / r) ** 2)
         out[i] = -np.dot(wt * prof.derivative(rho) * rho ** n, vals) / (np.pi * r ** n)
     return out

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from screened_transport import ConfigError, parse_config
+from screened_transport import CertificateReport, ConfigError, parse_config, runner
 from screened_transport.cli import main
 from screened_transport.runner import EXIT_CODES, run
 
@@ -206,6 +206,20 @@ class TestSweepMode:
         assert bl["min_ratio"] >= 1.0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["pointwise_pass"] is True
+
+    def test_failed_certificate_has_its_own_exit_code(self, tmp_path, monkeypatch):
+        def failing_bilinear(f, params, delta):
+            return CertificateReport("bilinear_lower_bound", 1, -0.5, 0.5,
+                                     {"n": params.n, "a": params.a, "delta": delta},
+                                     tolerance=1e-6)
+
+        monkeypatch.setattr(runner, "certify_bilinear", failing_bilinear)
+        cfg = parse_config(SWEEP_TINY.format(out=tmp_path / "sw"))
+        code = run(cfg)
+        assert code == EXIT_CODES["certificate_failed"]
+        assert code not in (0, EXIT_CODES["config_error"])
+        manifest = json.loads((tmp_path / "sw" / "manifest.json").read_text())
+        assert manifest["pointwise_pass"] is True and manifest["bilinear_pass"] is False
 
     def test_sweep_parallel_matches_sequential(self, tmp_path):
         c1 = parse_config(SWEEP_TINY.format(out=tmp_path / "seq"))

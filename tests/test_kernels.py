@@ -19,7 +19,9 @@ def psi_reference(n, q, c):
     return v1 + v2
 
 
-QS = [0.0, 1e-4, 0.05, 0.4, 0.9, 0.999, 1.001, 1.2, 4.0, 60.0]
+# 0.17 / 0.173 straddle m = 0.5 (the n = 2 branch switch as c -> 0) and
+# 0.267 / 0.269 straddle x = 0.5 (the n = 3 switch)
+QS = [0.0, 1e-4, 0.05, 0.17, 0.173, 0.267, 0.269, 0.4, 0.9, 0.999, 1.001, 1.2, 4.0, 60.0]
 CS = [1e-7, 1e-4, 0.02, 1.0, 9.0, 1e4]
 
 

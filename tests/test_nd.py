@@ -17,6 +17,7 @@ from screened_transport import (
     sobolev_norm,
     step_rk4,
 )
+from screened_transport import ndsolver
 from screened_transport.blowup import DiagnosticsSeries
 from screened_transport.ndsolver import _Workspace
 
@@ -162,6 +163,26 @@ class TestRunNd:
         assert np.allclose(res.series.column("sup_grad"), 0.0)
         assert np.allclose(res.series.column("l2"), 0.0)
         assert np.allclose(res.series.column("i_delta"), 0.0)
+
+    def test_four_advections_per_step(self, grid96, monkeypatch):
+        # the advection that sets the CFL step is also RK4's first stage
+        calls = {"advection": 0, "steps": 0}
+        advection, step = _Workspace.advection, ndsolver.step_rk4
+
+        def counted_advection(self, values):
+            calls["advection"] += 1
+            return advection(self, values)
+
+        def counted_step(*args, **kwargs):
+            calls["steps"] += 1
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(_Workspace, "advection", counted_advection)
+        monkeypatch.setattr(ndsolver, "step_rk4", counted_step)
+        rho0 = masked(sample_radial(bump_profile(1.0, 1.0, 2.0), grid96))
+        run_nd(rho0, P2, t_max=0.1, output_interval=0.05, support_radius=1.0)
+        assert calls["steps"] > 0
+        assert calls["advection"] == 4 * calls["steps"]
 
     def test_records_requested_snapshot_times(self, grid96):
         rho0 = sample_radial(bump_profile(1.0, 1.0, 2.0), grid96)

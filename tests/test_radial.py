@@ -11,6 +11,7 @@ from screened_transport import (
     radial_velocity,
     run_radial,
 )
+from screened_transport import radial
 from screened_transport.radial import RadialState, blended_markers, step
 
 
@@ -135,6 +136,26 @@ class TestRunRadial:
         assert np.all(np.diff(state_final.values) >= 0.0)
         assert np.array_equal(state_final.values, res.initial_state.values)
 
+    def test_four_velocity_evaluations_per_step(self, monkeypatch):
+        # the velocity that sets the CFL step is also RK4's first stage
+        calls = {"velocity": 0, "steps": 0}
+        velocity, step_ = radial.radial_velocity, radial.step
+
+        def counted_velocity(*args, **kwargs):
+            calls["velocity"] += 1
+            return velocity(*args, **kwargs)
+
+        def counted_step(*args, **kwargs):
+            calls["steps"] += 1
+            return step_(*args, **kwargs)
+
+        monkeypatch.setattr(radial, "radial_velocity", counted_velocity)
+        monkeypatch.setattr(radial, "step", counted_step)
+        run_radial(bump_profile(1.0, 1.0, 4.0), P2, t_max=0.15, markers=24,
+                   output_interval=0.01)
+        assert calls["steps"] > 0
+        assert calls["velocity"] == 4 * calls["steps"]
+
     def test_doubling_gravity_halves_threshold_time(self):
         prof = bump_profile(1.0, 1.0, 4.0)
         kw = dict(t_max=6.0, gradient_factor=4.0, markers=96, output_interval=0.01)
@@ -155,13 +176,14 @@ class TestRunRadial:
         assert np.allclose(s1.positions, s2.positions, rtol=0, atol=1e-12)
 
 
-class TestDerivativeAlongFlow:
-    @pytest.fixture(scope="class")
-    def short_run(self):
-        prof = bump_profile(1.0, 1.0, 2.0)
-        return run_radial(prof, P2, t_max=0.2, markers=256,
-                          output_interval=0.05, snapshot_times=[0.2])
+@pytest.fixture(scope="class")
+def short_run():
+    prof = bump_profile(1.0, 1.0, 2.0)
+    return run_radial(prof, P2, t_max=0.2, markers=256,
+                      output_interval=0.05, snapshot_times=[0.2])
 
+
+class TestDerivativeAlongFlow:
     def test_time_zero_reconstructions_coincide(self, short_run):
         rep = derivative_along_flow(short_run, P2, at_time=0.0)
         assert rep["max_relative_discrepancy"] <= 1e-13
