@@ -99,16 +99,19 @@ def step_rk4(state: NdState, dt: float, workspace: _Workspace | None = None, k1=
     return replace(state, time=state.time + dt, rho=ScalarField(state.rho.grid, new)), None
 
 
+def _cfl_dt(cfl: float, spacing: float, speed: float, dt_min: float, dt_max: float) -> float:
+    if not 0.0 < cfl < 1.0:
+        raise ValueError("cfl must lie in (0, 1)")
+    return float(np.clip(cfl * spacing / (speed + 1e-300), dt_min, dt_max))
+
+
 def adaptive_dt(state: NdState, cfl: float, dt_max: float = 0.05,
                 workspace: _Workspace | None = None) -> float:
     """dt = cfl * spacing / (g * max |R_a rho| + eps), clamped to
     [DT_MIN, dt_max].  The advection speed carries the factor g."""
-    if not 0.0 < cfl < 1.0:
-        raise ValueError("cfl must lie in (0, 1)")
     ws = workspace or _Workspace(state.rho.grid, state.params)
     _, umax = ws.advection(state.rho.values)
-    dt = cfl * state.rho.grid.spacing / (state.params.g * umax + 1e-300)
-    return float(np.clip(dt, DT_MIN, dt_max))
+    return _cfl_dt(cfl, state.rho.grid.spacing, state.params.g * umax, DT_MIN, dt_max)
 
 
 @dataclass
@@ -199,7 +202,7 @@ def run_nd(rho0: ScalarField, params: Params, *,
     si = 0
     while state.time < t_max:
         k1, umax = ws.advection(state.rho.values)
-        dt = float(np.clip(cfl * grid.spacing / (params.g * umax + 1e-300), dt_min, dt_max))
+        dt = _cfl_dt(cfl, grid.spacing, params.g * umax, dt_min, dt_max)
         if dt <= dt_min * (1.0 + 1e-12):
             stop = NdStop.DT_UNDERFLOW
             break

@@ -140,6 +140,8 @@ def step(state: RadialState, dt: float, params: Params, k1=None):
 def _adaptive_dt(positions, velocities, cfl: float, dt_max: float) -> float:
     """Pairwise characteristic CFL: no gap may close by more than `cfl` of
     itself in one step."""
+    if not 0.0 < cfl < 1.0:
+        raise ValueError("cfl must lie in (0, 1)")
     gaps = np.diff(positions)
     closing = np.abs(np.diff(velocities))
     dt = cfl * float(np.min(gaps / (closing + 1e-300)))

@@ -13,6 +13,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,8 +22,7 @@ from .blowup import (BlowupConfig, checks_to_json, predict_blowup_time,
                      riccati_check, riccati_rate, structural_checks)
 from .config import ExperimentConfig
 from .fields import Params, bump_profile, make_grid, profile_to_csv, sample_radial, save_field
-from .inequalities import (CertificateReport, certify_bilinear, certify_pointwise,
-                           report_to_json, shipped_families)
+from .inequalities import certify_bilinear, certify_pointwise, report_to_json, shipped_families
 from .ndsolver import run_nd
 from .radial import run_radial
 from .rk4 import Stop
@@ -79,6 +79,13 @@ def _initial_profile(cfg):
     return bump_profile(sect["support_radius"], sect["depth"], sect["sharpness"])
 
 
+def _write_series(series, outdir):
+    csv, dat = os.path.join(outdir, "series.csv"), os.path.join(outdir, "series.dat")
+    series.to_csv(csv)
+    series.to_dat(dat)
+    return [csv, dat]
+
+
 def _run_nd_mode(cfg: ExperimentConfig, outdir: str):
     params = Params(cfg["params.n"], cfg["params.a"], cfg["params.g"])
     grid = make_grid(params.n, cfg["grid.half_width"], cfg["grid.points_per_dim"])
@@ -94,13 +101,7 @@ def _run_nd_mode(cfg: ExperimentConfig, outdir: str):
         output_interval=cfg["output.interval"],
         snapshot_interval=cfg["output.snapshot_interval"],
     )
-    files = []
-    series_csv = os.path.join(outdir, "series.csv")
-    result.series.to_csv(series_csv)
-    files.append(series_csv)
-    series_dat = os.path.join(outdir, "series.dat")
-    result.series.to_dat(series_dat)
-    files.append(series_dat)
+    files = _write_series(result.series, outdir)
     for i, (t, snap) in enumerate(result.snapshots):
         p = os.path.join(outdir, f"snapshot_{i:04d}.field")
         save_field(p, snap, time=t)
@@ -137,13 +138,7 @@ def _run_radial_mode(cfg: ExperimentConfig, outdir: str):
         output_interval=cfg["output.interval"],
         delta=cfg["blowup.delta"],
     )
-    files = []
-    series_csv = os.path.join(outdir, "series.csv")
-    result.series.to_csv(series_csv)
-    files.append(series_csv)
-    series_dat = os.path.join(outdir, "series.dat")
-    result.series.to_dat(series_dat)
-    files.append(series_dat)
+    files = _write_series(result.series, outdir)
     for i, (t, prof) in enumerate(result.snapshots):
         p = os.path.join(outdir, f"profile_{i:04d}.csv")
         profile_to_csv(p, prof)
@@ -160,58 +155,52 @@ def _sweep_radii(a: float, support: float, per_decade: int) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
+def _map_cells(fn, cells, threads: int):
+    """fn over cells in order, on a thread pool when threads > 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            return list(ex.map(fn, cells))
+    return [fn(c) for c in cells]
+
+
+def _sweep_report(reports, key, tolerance: float, path):
+    """The worst cell by `key`, counting every cell's samples; written to `path`."""
+    worst = replace(min(reports, key=key), samples=sum(r.samples for r in reports),
+                    tolerance=tolerance)
+    report_to_json(worst, path)
+    return worst
+
+
 def _run_sweep_mode(cfg: ExperimentConfig, outdir: str, threads: int = 1):
     n = cfg["params.n"]
     g = cfg["params.g"]
     a_values = cfg["sweep.a_values"]
     delta_values = cfg["sweep.delta_values"]
-    seeds = cfg["sweep.spline_seeds"]
-    files = []
-    fams = shipped_families(spline_seeds=tuple(seeds))
+    fams = shipped_families(spline_seeds=tuple(cfg["sweep.spline_seeds"]))
     for fam in fams:
         fam.validate()
 
     def pointwise_cell(args):
         fam, a = args
-        params = Params(n, a, g)
         f = fam.sample()
         radii = _sweep_radii(a, f.support_radius, cfg["sweep.radii_per_decade"])
-        return certify_pointwise(f, params, radii)
+        return certify_pointwise(f, Params(n, a, g), radii)
 
-    cells = [(fam, a) for fam in fams for a in a_values]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            reports = list(ex.map(pointwise_cell, cells))
-    else:
-        reports = [pointwise_cell(c) for c in cells]
-    worst_p = min(reports, key=lambda r: r.min_slack)
-    agg_p = CertificateReport("pointwise_lower_bound", sum(r.samples for r in reports),
-                              worst_p.min_slack, worst_p.min_ratio, worst_p.worst_case,
-                              tolerance=1e-8)
     p_path = os.path.join(outdir, "certificate_pointwise.json")
-    report_to_json(agg_p, p_path)
-    files.append(p_path)
+    cells = [(fam, a) for fam in fams for a in a_values]
+    agg_p = _sweep_report(_map_cells(pointwise_cell, cells, threads),
+                          lambda r: r.min_slack, 1e-8, p_path)
 
     def bilinear_cell(args):
         fam, a, d = args
-        params = Params(n, a, g)
-        return certify_bilinear(fam.sample(), params, d)
+        return certify_bilinear(fam.sample(), Params(n, a, g), d)
 
-    cells = [(fam, a, d) for fam in fams for a in a_values for d in delta_values]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            reports = list(ex.map(bilinear_cell, cells))
-    else:
-        reports = [bilinear_cell(c) for c in cells]
-    worst_b = min(reports, key=lambda r: r.min_ratio)
-    agg_b = CertificateReport("bilinear_lower_bound", len(reports),
-                              worst_b.min_slack, worst_b.min_ratio, worst_b.worst_case,
-                              tolerance=1e-6)
     b_path = os.path.join(outdir, "certificate_bilinear.json")
-    report_to_json(agg_b, b_path)
-    files.append(b_path)
+    cells = [(fam, a, d) for fam in fams for a in a_values for d in delta_values]
+    agg_b = _sweep_report(_map_cells(bilinear_cell, cells, threads),
+                          lambda r: r.min_ratio, 1e-6, b_path)
     ok = agg_p.passed and agg_b.passed
-    return ("clean" if ok else "certificate_failed"), files, {
+    return ("clean" if ok else "certificate_failed"), [p_path, b_path], {
         "pointwise_pass": agg_p.passed, "bilinear_pass": agg_b.passed}
 
 

@@ -263,21 +263,11 @@ def _radial_quadrature_nodes(r: float, support: float, background: int, depth: i
     return brk[keep]
 
 
-def _velocity_once(prof, params: Params, targets: np.ndarray,
-                   background: int, n_gl: int, depth: int) -> np.ndarray:
-    n, a = params.n, params.a
-    support = prof.support_radius
-    out = np.zeros_like(targets)
-    for i, r in enumerate(targets):
-        if r <= 0.0:
-            continue
-        rho, wt = gauss_panels(_radial_quadrature_nodes(r, support, background, depth), n_gl)
-        vals = psi(n, rho / r, (a / r) ** 2)
-        out[i] = -np.dot(wt * prof.derivative(rho) * rho ** n, vals) / (np.pi * r ** n)
-    return out
+# the one radial rule: background panels, Gauss points per panel, grading depth
+_BACKGROUND, _N_GL, _DEPTH = 32, 32, 52
 
 
-def radial_velocity(prof, params: Params, r, rel_tol: float = 1e-8) -> np.ndarray | float:
+def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
     """Radial component u_r(r) of the transform of a radial profile.
 
     For a radial f the full transform reduces to
@@ -285,8 +275,11 @@ def radial_velocity(prof, params: Params, r, rel_tol: float = 1e-8) -> np.ndarra
         u_r(r) = -(1 / (pi r^n)) * int_0^inf f'(rho) rho^n Psi_n(rho/r, (a/r)^2) drho,
 
     negative wherever f is nondecreasing (the velocity points inward) and
-    exactly zero at r = 0.  The quadrature refines (background panels and
-    Gauss order double) until two successive evaluations agree to `rel_tol`.
+    exactly zero at r = 0.  Each target is evaluated once, by one fixed rule
+    that does not depend on the other targets: 32 uniform background panels
+    plus geometric grading of depth 52 toward min(r, support), 32 Gauss points
+    per panel.  No error estimate is returned, and the panels ignore the
+    profile's breakpoints: on splines the error is up to 5e-2 relative.
 
     Accepts a scalar or an array of radii; the scalar form returns a float.
     """
@@ -294,16 +287,16 @@ def radial_velocity(prof, params: Params, r, rel_tol: float = 1e-8) -> np.ndarra
     targets = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(targets < 0.0):
         raise ValueError("radii must be nonnegative")
-    params_ok = params.n in (2, 3)
-    levels = [(8, 12, 30), (16, 24, 44), (32, 32, 52)] if params_ok else [(8, 12, 30), (16, 24, 44)]
-    prev = _velocity_once(prof, params, targets, *levels[0])
-    for lev in levels[1:]:
-        cur = _velocity_once(prof, params, targets, *lev)
-        if np.all(np.abs(cur - prev) <= rel_tol * (np.abs(cur) + 1e-14)):
-            prev = cur
-            break
-        prev = cur
-    return float(prev[0]) if scalar else prev
+    n, a = params.n, params.a
+    out = np.zeros_like(targets)
+    for i, x in enumerate(targets):
+        if x <= 0.0:
+            continue
+        brk = _radial_quadrature_nodes(x, prof.support_radius, _BACKGROUND, _DEPTH)
+        rho, wt = gauss_panels(brk, _N_GL)
+        vals = psi(n, rho / x, (a / x) ** 2)
+        out[i] = -np.dot(wt * prof.derivative(rho) * rho ** n, vals) / (np.pi * x ** n)
+    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------

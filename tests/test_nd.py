@@ -184,6 +184,13 @@ class TestRunNd:
         assert calls["steps"] > 0
         assert calls["advection"] == 4 * calls["steps"]
 
+    @pytest.mark.parametrize("cfl", [1.5, -0.2, 0.0, 1.0])
+    def test_rejects_bad_cfl(self, cfl):
+        grid = make_grid(2, 4.0, 32)
+        rho0 = ScalarField(grid, np.zeros(grid.shape))
+        with pytest.raises(ValueError, match="cfl"):
+            run_nd(rho0, P2, t_max=0.1, cfl=cfl, support_radius=1.0)
+
     def test_records_requested_snapshot_times(self, grid96):
         rho0 = sample_radial(bump_profile(1.0, 1.0, 2.0), grid96)
         res = run_nd(rho0, P2, t_max=0.3, output_interval=0.05,

@@ -57,7 +57,7 @@ class TestRadialRhs:
         v = radial_rhs(state, P2)
         i = len(v) // 2
         direct = radial_velocity(state.profile(), P2, float(state.positions[i]))
-        assert v[i] == pytest.approx(direct, rel=1e-10, abs=1e-14)
+        assert v[i] == direct
 
 
 class TestStep:
@@ -155,6 +155,11 @@ class TestRunRadial:
                    output_interval=0.01)
         assert calls["steps"] > 0
         assert calls["velocity"] == 4 * calls["steps"]
+
+    @pytest.mark.parametrize("cfl", [1.5, -0.2, 0.0, 1.0])
+    def test_rejects_bad_cfl(self, cfl):
+        with pytest.raises(ValueError, match="cfl"):
+            run_radial(bump_profile(1.0, 1.0, 4.0), P2, t_max=0.1, markers=16, cfl=cfl)
 
     def test_doubling_gravity_halves_threshold_time(self):
         prof = bump_profile(1.0, 1.0, 4.0)

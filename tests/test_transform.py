@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import integrate
 
 from screened_transport import (
     KernelKind,
@@ -19,6 +22,39 @@ from screened_transport import (
     screened_riesz_direct,
     screened_riesz_divergence,
 )
+from screened_transport import transform
+from screened_transport.inequalities import TestFunctionFamily
+
+
+def _nested_quad_psi(n, q, c):
+    """Psi_n(q, c) = int_0^pi sin^n mu [A^-e - (A + c)^-e] dmu, e = (n+1)/2,
+    A = 1 - 2 q cos mu + q^2, by adaptive quadrature; the bracket is written
+    without cancellation and the interval is split geometrically around the
+    peak at mu ~ |1 - q|."""
+    e = 0.5 * (n + 1)
+
+    def integrand(mu):
+        A = (1.0 - q) ** 2 + 4.0 * q * math.sin(0.5 * mu) ** 2
+        return math.sin(mu) ** n * A ** -e * -math.expm1(-e * math.log1p(c / A))
+
+    split = min(abs(1.0 - q), 0.5 * math.pi)
+    pts = [0.0] + [split * 2.0 ** k for k in range(40) if split * 2.0 ** k < math.pi] + [math.pi]
+    return sum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(pts[:-1], pts[1:]) if hi > lo)
+
+
+def _nested_quad_velocity(prof, n, a, r):
+    """u_r(r) = -(pi r^n)^-1 int_0^L f'(rho) rho^n Psi_n(rho/r, (a/r)^2) drho,
+    split at the log singularity rho = r."""
+    def integrand(rho):
+        return float(prof.derivative(np.array([rho]))[0]) * rho ** n \
+            * _nested_quad_psi(n, rho / r, (a / r) ** 2)
+
+    L = prof.support_radius
+    pts = [0.0, r, L] if r < L else [0.0, L]
+    total = sum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                for lo, hi in zip(pts[:-1], pts[1:]))
+    return -total / (math.pi * r ** n)
 
 
 @pytest.fixture(scope="module")
@@ -246,12 +282,36 @@ class TestRadialVelocity:
         assert direct[0] == pytest.approx(want, rel=1e-4)
         assert abs(direct[1]) <= 1e-8
 
-    def test_refinement_is_converged(self):
-        p = Params(2, 0.3, 1.0)
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("a", [0.3, 4.0])
+    def test_matches_nested_quadrature(self, n, a):
+        # an independent evaluation of the definition of u_r by adaptive
+        # quadrature in both variables (no kernels or transform code)
         prof = bump_profile(1.0, 1.0, 3.0)
-        v1 = radial_velocity(prof, p, 0.4, rel_tol=1e-8)
-        v2 = radial_velocity(prof, p, 0.4, rel_tol=1e-11)
-        assert v1 == pytest.approx(v2, rel=1e-8)
+        for r in (0.4, 0.9, 2.5):
+            want = _nested_quad_velocity(prof, n, a, r)
+            assert radial_velocity(prof, Params(n, a, 1.0), r) == pytest.approx(want, rel=1e-10)
+
+    def test_batch_equals_scalar_calls_bitwise(self):
+        # a target's value must not depend on the other targets of the call
+        f = TestFunctionFamily("smoothed_step", (1.0, 0.7, 0.25)).sample()
+        p = Params(2, 0.1, 1.0)
+        r = np.geomspace(0.01, 30.0, 40)
+        batch = radial_velocity(f, p, r)
+        assert np.array_equal(batch, [radial_velocity(f, p, x) for x in r])
+
+    def test_one_psi_evaluation_per_nonzero_target(self, monkeypatch):
+        calls = []
+        psi = transform.psi
+
+        def counted_psi(*args):
+            calls.append(1)
+            return psi(*args)
+
+        monkeypatch.setattr(transform, "psi", counted_psi)
+        radial_velocity(bump_profile(1.0, 1.0, 1.0), Params(2, 1.0, 1.0),
+                        np.array([0.0, 0.3, 0.9, 1.7]))
+        assert len(calls) == 3
 
     def test_rejects_negative_radius(self):
         p = Params(2, 1.0, 1.0)
