@@ -22,10 +22,6 @@ class ConfigError(ValueError):
         super().__init__("invalid config:\n" + "\n".join(f"  - {e}" for e in self.errors))
 
 
-def _float(s):
-    return float(s)
-
-
 def _pos_float(s):
     v = float(s)
     if not v > 0:

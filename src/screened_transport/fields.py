@@ -353,14 +353,15 @@ def evaluate_at(f: ScalarField, points: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class RadialProfile:
-    """1-D radial function on nodes 0 = r_0 < r_1 < ... < r_M.
+    """Radial function given by a piecewise polynomial on breakpoints
+    0 = r_0 < r_1 < ... < r_M, constant beyond r_M = support_radius.
 
-    Interpolation is shape preserving (monotone cubic), so a nondecreasing
-    node set stays nondecreasing between nodes.  Subclasses may override
-    `value`/`derivative` with closed forms.
+    Built from nodes it is their shape-preserving (monotone cubic)
+    interpolant, so a nondecreasing node set stays nondecreasing between
+    nodes; `from_poly` takes a SciPy piecewise polynomial instead.  The
+    derivative at r_M is the polynomial's left limit, and 0 beyond.
+    Subclasses may override `value`/`derivative` with closed forms.
     """
-
-    interp = "monotone-cubic"
 
     def __init__(self, nodes: np.ndarray, values: np.ndarray, monotone: bool = False):
         nodes = np.asarray(nodes, dtype=float)
@@ -377,13 +378,22 @@ class RadialProfile:
         self.values = values
         self.monotone = monotone
 
+    @classmethod
+    def from_poly(cls, poly) -> "RadialProfile":
+        """The profile equal to the SciPy piecewise polynomial `poly` (a PPoly,
+        such as a CubicHermiteSpline) on [0, poly.x[-1]]; its breakpoints
+        poly.x must start at 0."""
+        prof = cls(poly.x, poly(poly.x))
+        prof._poly = poly  # takes the place of the node interpolant
+        return prof
+
     @cached_property
-    def _pchip(self):
+    def _poly(self):
         return PchipInterpolator(self.nodes, self.values, extrapolate=False)
 
     @cached_property
-    def _pchip_derivative(self):
-        return self._pchip.derivative()
+    def _poly_derivative(self):
+        return self._poly.derivative()
 
     @property
     def support_radius(self) -> float:
@@ -395,13 +405,13 @@ class RadialProfile:
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
-        out = self._pchip(np.clip(r, 0.0, self.nodes[-1]))
+        out = self._poly(np.clip(r, 0.0, self.nodes[-1]))
         out = np.where(r > self.nodes[-1], self.values[-1], out)
         return out
 
     def derivative(self, r):
         r = np.asarray(r, dtype=float)
-        out = self._pchip_derivative(np.clip(r, 0.0, self.nodes[-1]))
+        out = self._poly_derivative(np.clip(r, 0.0, self.nodes[-1]))
         return np.where(r > self.nodes[-1], 0.0, out)
 
     def origin_value(self) -> float:

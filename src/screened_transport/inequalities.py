@@ -9,10 +9,12 @@ Two inequalities are certified on sampled function classes:
   dominates an explicit constant times a weighted square integral.
 
 Certification sweeps record the worst slack / ratio over families, never a
-proof; family membership (radial, C^1, nondecreasing, integrable bounded
-derivative) is enforced at construction.  Mirrored statements for
-nonincreasing profiles follow by the sign flip f -> -f, which negates both
-sides; the sweep covers them through that symmetry rather than separately.
+proof; family membership (radial, nondecreasing, integrable bounded
+derivative, C^1 on [0, R) and Lipschitz across the support edge R) is
+enforced at construction, and every family is a `RadialProfile`.  Mirrored
+statements for nonincreasing profiles follow by the sign flip f -> -f, which
+negates both sides; the sweep covers them through that symmetry rather than
+separately.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, PPoly
 
-from .fields import Params, bump_profile
+from .fields import Params, RadialProfile, bump_profile
 from .kernels import bilinear_constant, gauss_panels, screening_weight
 from .transform import radial_velocity
 from .blowup import sphere_area
@@ -45,131 +47,47 @@ __all__ = [
 # test function families
 # ---------------------------------------------------------------------------
 
-class _SmoothedStep:
-    """Nondecreasing C^2 ramp from -height to 0 across [r0 - w, r0 + w]
-    (quintic smoothstep), constant elsewhere."""
-
-    def __init__(self, height, center, width):
-        self.h = float(height)
-        self.r0 = float(center)
-        self.w = float(width)
-        if self.r0 - self.w <= 0:
-            raise ValueError("step must start at positive radius")
-
-    @property
-    def support_radius(self):
-        return self.r0 + self.w
-
-    @property
-    def breakpoints(self):
-        return np.array([0.0, self.r0 - self.w, self.r0 + self.w])
-
-    def _s(self, t):
-        t = np.clip(t, 0.0, 1.0)
-        return t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
-
-    def value(self, r):
-        t = (np.asarray(r, float) - (self.r0 - self.w)) / (2.0 * self.w)
-        return -self.h * (1.0 - self._s(t))
-
-    def derivative(self, r):
-        t = (np.asarray(r, float) - (self.r0 - self.w)) / (2.0 * self.w)
-        tc = np.clip(t, 0.0, 1.0)
-        ds = 30.0 * tc ** 2 * (1.0 - tc) ** 2 / (2.0 * self.w)
-        return np.where((t > 0) & (t < 1), self.h * ds, 0.0)
+def _smoothed_step(height, center, width) -> RadialProfile:
+    """Nondecreasing C^2 ramp from -height to 0 across [center - width,
+    center + width] (quintic smoothstep), constant elsewhere."""
+    h, r0, w = float(height), float(center), float(width)
+    if r0 - w <= 0:
+        raise ValueError("step must start at positive radius")
+    # -h + h (10 t^3 - 15 t^4 + 6 t^5), t = (r - r0 + w) / 2w, in powers of r - r0 + w
+    c = [[0.0, 6.0 * h / (2.0 * w) ** 5], [0.0, -15.0 * h / (2.0 * w) ** 4],
+         [0.0, 10.0 * h / (2.0 * w) ** 3], [0.0, 0.0], [0.0, 0.0], [-h, -h]]
+    return RadialProfile.from_poly(PPoly(c, [0.0, r0 - w, r0 + w]))
 
 
-class _SmoothedRamp:
-    """Piecewise-linear ramp with quadratically smoothed corners (C^1)."""
-
-    def __init__(self, height, start, stop, corner):
-        self.h = float(height)
-        self.a = float(start)
-        self.b = float(stop)
-        self.c = float(corner)
-        if not 0 < self.a - self.c:
-            raise ValueError("corner overruns the origin")
-        if not self.a + self.c < self.b - self.c:
-            raise ValueError("corners overlap")
-        self.slope = self.h / (self.b - self.a)
-
-    @property
-    def support_radius(self):
-        return self.b + self.c
-
-    @property
-    def breakpoints(self):
-        return np.array([0.0, self.a - self.c, self.a + self.c, self.b - self.c, self.b + self.c])
-
-    def derivative(self, r):
-        r = np.asarray(r, float)
-        out = np.zeros_like(r)
-        m = (r > self.a + self.c) & (r < self.b - self.c)
-        out[m] = self.slope
-        lo = (r >= self.a - self.c) & (r <= self.a + self.c)
-        out[lo] = self.slope * (r[lo] - (self.a - self.c)) / (2.0 * self.c)
-        hi = (r >= self.b - self.c) & (r <= self.b + self.c)
-        out[hi] = self.slope * ((self.b + self.c) - r[hi]) / (2.0 * self.c)
-        return out
-
-    def value(self, r):
-        r = np.asarray(r, float)
-        out = np.empty_like(r)
-        for i, ri in np.ndenumerate(r):
-            # exact piecewise integral of the derivative, minus total height
-            out[i] = -self.h + self._integral(ri)
-        return out
-
-    def _integral(self, ri):
-        s, c, a, b = self.slope, self.c, self.a, self.b
-        ri = min(ri, b + c)
-        tot = 0.0
-        lo_end = min(ri, a + c)
-        if lo_end > a - c:
-            t = lo_end - (a - c)
-            tot += s * t * t / (4.0 * c)
-        if ri > a + c:
-            tot += s * (min(ri, b - c) - (a + c))
-        if ri > b - c:
-            t = ri - (b - c)
-            tot += s * (t - t * t / (4.0 * c))
-        return tot
+def _smoothed_ramp(height, start, stop, corner) -> RadialProfile:
+    """Piecewise-linear ramp from -height at `start` to 0 at `stop`, both
+    corners smoothed by a quadratic over +-`corner` (C^1)."""
+    h, a, b, c = float(height), float(start), float(stop), float(corner)
+    if not 0 < a - c:
+        raise ValueError("corner overruns the origin")
+    if not a + c < b - c:
+        raise ValueError("corners overlap")
+    s = h / (b - a)
+    # cubic Hermite data of the quadratic corners and the linear middle
+    return RadialProfile.from_poly(CubicHermiteSpline(
+        [0.0, a - c, a + c, b - c, b + c], [-h, -h, s * c - h, -s * c, 0.0], [0.0, 0.0, s, s, 0.0]))
 
 
-class _MonotoneSpline:
-    """Random nondecreasing C^1 spline from -depth to 0, constant beyond."""
-
-    def __init__(self, seed, depth=1.0, radius=1.5, knots=9):
-        rng = np.random.default_rng(seed)
-        r = np.concatenate([[0.0], np.sort(rng.uniform(0.05, radius, knots)), [radius + 0.1]])
-        incr = rng.uniform(0.05, 1.0, len(r) - 1)
-        v = -depth + depth * np.concatenate([[0.0], np.cumsum(incr) / incr.sum()])
-        self._pch = PchipInterpolator(r, v)
-        self._der = self._pch.derivative()
-        self._rmax = r[-1]
-        self._knots = r
-
-    @property
-    def support_radius(self):
-        return self._rmax
-
-    @property
-    def breakpoints(self):
-        return self._knots
-
-    def value(self, r):
-        r = np.asarray(r, float)
-        return np.where(r >= self._rmax, 0.0, self._pch(np.clip(r, 0.0, self._rmax)))
-
-    def derivative(self, r):
-        r = np.asarray(r, float)
-        return np.where(r >= self._rmax, 0.0, self._der(np.clip(r, 0.0, self._rmax)))
+def _monotone_spline(seed, depth=1.0, radius=1.5, knots=9) -> RadialProfile:
+    """Random nondecreasing monotone cubic spline from -depth to 0, constant
+    beyond its last knot R: C^1 on [0, R) and Lipschitz across R, where its
+    end slope is in general not 0."""
+    rng = np.random.default_rng(seed)
+    r = np.concatenate([[0.0], np.sort(rng.uniform(0.05, radius, knots)), [radius + 0.1]])
+    incr = rng.uniform(0.05, 1.0, len(r) - 1)
+    return RadialProfile(r, -depth + depth * np.concatenate([[0.0], np.cumsum(incr) / incr.sum()]))
 
 
 @dataclass(frozen=True)
 class TestFunctionFamily:
-    """Generator of radial, C^1, nondecreasing profiles with integrable
-    bounded derivative.
+    """Generator of radial nondecreasing `RadialProfile`s with integrable
+    bounded derivative, C^1 on [0, R) and Lipschitz across the support edge R
+    (the spline's slope jumps to 0 there; the other families stay C^1).
 
     kind: 'bump', 'smoothed_step', 'piecewise_linear_smoothed', or
     'random_monotone_spline'; `parameters` are family specific, and `seed`
@@ -192,12 +110,10 @@ class TestFunctionFamily:
             L, depth, sharp = self.parameters or (1.0, 1.0, 2.0)
             return bump_profile(L, depth, sharp)
         if self.kind == "smoothed_step":
-            h, r0, w = self.parameters or (1.0, 0.7, 0.25)
-            return _SmoothedStep(h, r0, w)
+            return _smoothed_step(*(self.parameters or (1.0, 0.7, 0.25)))
         if self.kind == "piecewise_linear_smoothed":
-            h, start, stop, corner = self.parameters or (1.0, 0.3, 1.0, 0.1)
-            return _SmoothedRamp(h, start, stop, corner)
-        return _MonotoneSpline(self.seed, *(self.parameters or ()))
+            return _smoothed_ramp(*(self.parameters or (1.0, 0.3, 1.0, 0.1)))
+        return _monotone_spline(self.seed, *(self.parameters or ()))
 
     def validate(self, n_check: int = 2001) -> None:
         """Enforce the class invariants on a dense sample."""
@@ -267,10 +183,9 @@ def report_to_json(report: CertificateReport, path) -> None:
 # quadrature helpers
 # ---------------------------------------------------------------------------
 
-def _graded_breaks(upper, breakpoints=None, per_unit=12, depth=40):
+def _graded_breaks(upper, breakpoints, per_unit=12, depth=40):
     brk = set(np.linspace(0.0, upper, max(4, int(np.ceil(per_unit * upper))) + 1))
-    if breakpoints is not None:
-        brk.update(b for b in np.asarray(breakpoints, float) if 0.0 < b < upper)
+    brk.update(b for b in np.asarray(breakpoints, float) if 0.0 < b < upper)
     w = upper
     for _ in range(depth):
         w *= 0.5
@@ -286,7 +201,7 @@ def weighted_profile_integral(f, r: float, n: int, n_gl: int = 24) -> float:
     """int_0^r (f(r) - f(rho)) rho^{n-1} d(rho) by panel Gauss-Legendre."""
     if r <= 0:
         return 0.0
-    brk = _graded_breaks(r, getattr(f, "breakpoints", None))
+    brk = _graded_breaks(r, f.breakpoints)
     rho, w = gauss_panels(brk, n_gl)
     fr = float(np.asarray(f.value(np.asarray([r])))[0])
     return float(np.dot(w, (fr - f.value(rho)) * rho ** (n - 1)))
@@ -338,7 +253,7 @@ def _bilinear_lhs(f, params: Params, delta: float, n_gl: int = 16) -> float:
     """-int R_a f . grad f / |x|^{n+delta} dx by radial reduction:
     -omega_{n-1} int u_r(r) f'(r) r^{-1-delta} dr (exact on the support of f')."""
     R = f.support_radius
-    brk = _graded_breaks(R, getattr(f, "breakpoints", None))
+    brk = _graded_breaks(R, f.breakpoints)
     r, w = gauss_panels(brk, n_gl)
     u = radial_velocity(f, params, r)
     integrand = -u * f.derivative(r) * r ** (-1.0 - delta)
@@ -351,7 +266,7 @@ def _bilinear_rhs(f, params: Params, delta: float, n_gl: int = 16) -> float:
     n, a = params.n, params.a
     f0 = float(np.asarray(f.value(np.asarray([0.0])))[0])
     R = f.support_radius
-    body_breaks = _graded_breaks(R, getattr(f, "breakpoints", None))
+    body_breaks = _graded_breaks(R, f.breakpoints)
     r, w = gauss_panels(body_breaks, n_gl)
 
     def chunk(rr, ww):

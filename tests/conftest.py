@@ -14,12 +14,20 @@ def record_acceptance(line: str) -> None:
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    """Print this session's acceptance lines and merge them into
+    acceptance.json, keeping the entries of tests this session did not run."""
     if _ACCEPTANCE:
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE.values():
             terminalreporter.write_line(line)
-        with open(config.rootpath / "acceptance.json", "w") as fh:
-            json.dump(_ACCEPTANCE, fh, indent=2)
+        path = config.rootpath / "acceptance.json"
+        try:
+            entries = json.loads(path.read_text())
+        except (FileNotFoundError, ValueError):
+            entries = {}
+        entries.update(_ACCEPTANCE)
+        with open(path, "w") as fh:
+            json.dump(entries, fh, indent=2)
             fh.write("\n")
 
 
