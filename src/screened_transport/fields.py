@@ -4,6 +4,11 @@ The computational domain is the periodic box [-half_width, half_width)^n.
 All spectral symbols are written in angular wavenumbers k; the per-axis
 wavenumber set is {-N/2, ..., N/2-1} * (pi / half_width).  Odd (imaginary)
 symbols zero the unpaired Nyquist modes so that real fields stay real.
+
+Every field is real, so the spectral operators act on the `rfftn` half
+spectrum (last axis 0..N/2) and transform back with `irfftn`.  Norms are
+Parseval sums over it: each half-grid column stands for itself and its
+mirror (weight 2), except the zero and Nyquist columns (weight 1).
 """
 
 from __future__ import annotations
@@ -139,6 +144,45 @@ class Grid:
             out &= keep.reshape(shape)
         return out
 
+    def _half(self, full: np.ndarray) -> np.ndarray:
+        # the half grid is the full grid's columns 0..N/2 on the last axis;
+        # its Nyquist column carries the wavenumber -N/2, which even symbols
+        # read through |k| and odd symbols zero
+        return np.ascontiguousarray(full[..., : self.N // 2 + 1])
+
+    @cached_property
+    def half_wavenumber_magnitude(self) -> np.ndarray:
+        return self._half(self.wavenumber_magnitude)
+
+    @cached_property
+    def half_dealias_mask(self) -> np.ndarray:
+        return self._half(self.dealias_mask)
+
+    @cached_property
+    def half_nyquist_mask(self) -> np.ndarray:
+        return self._half(self.nyquist_mask)
+
+    @cached_property
+    def half_gradient_symbols(self) -> list:
+        """i k_j per axis on the half grid, Nyquist modes zeroed."""
+        return [np.where(self.half_nyquist_mask, 0.0, 1j * self._half(k))
+                for k in self.wavenumbers]
+
+    @cached_property
+    def half_unit_directions(self) -> list:
+        """k_j / |k| per axis on the half grid, zero and Nyquist modes zeroed."""
+        kk = self.half_wavenumber_magnitude
+        safe = np.where(kk > 0.0, kk, 1.0)
+        return [np.where(self.half_nyquist_mask | (kk == 0.0), 0.0, self._half(k) / safe)
+                for k in self.wavenumbers]
+
+    def parseval_norm(self, power: np.ndarray) -> float:
+        """L2 norm of the field whose half-spectrum magnitudes squared are
+        `power`: paired columns count twice, the zero and Nyquist columns once."""
+        cols = power.reshape(-1, power.shape[-1]).sum(axis=0)
+        total = 2.0 * cols.sum() - cols[0] - cols[-1]
+        return float(np.sqrt(total * self.cell_volume / self.size))
+
     @cached_property
     def origin_index(self) -> tuple:
         i0 = int(np.argmin(np.abs(self.axis_coords)))
@@ -206,14 +250,16 @@ def make_grid(n: int, half_width: float, N: int) -> Grid:
 
 
 class ScalarField:
-    """Real scalar samples on a Grid with a lazily computed spectral view.
+    """Real scalar samples on a Grid with lazily computed spectral views.
 
     Fields are immutable: `values` is marked read-only at construction and
     the Fourier coefficients are cached on first access.  All operations on
-    fields return new fields.
+    fields return new fields.  A half spectrum passed in is cached as given,
+    not copied: the caller hands the array over.
     """
 
-    def __init__(self, grid: Grid, values: np.ndarray, _spectrum: np.ndarray | None = None):
+    def __init__(self, grid: Grid, values: np.ndarray, _spectrum: np.ndarray | None = None,
+                 _half_spectrum: np.ndarray | None = None):
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
@@ -222,11 +268,17 @@ class ScalarField:
         self.grid = grid
         self.values = values
         self._spectrum = _spectrum
+        self._half_spectrum = _half_spectrum
 
     @classmethod
     def from_spectrum(cls, grid: Grid, spectrum: np.ndarray) -> "ScalarField":
         vals = sfft.ifftn(spectrum).real
         return cls(grid, vals, _spectrum=np.asarray(spectrum, dtype=complex))
+
+    @classmethod
+    def from_half_spectrum(cls, grid: Grid, half_spectrum: np.ndarray) -> "ScalarField":
+        """The real field whose `rfftn` is `half_spectrum`."""
+        return cls(grid, sfft.irfftn(half_spectrum, s=grid.shape), _half_spectrum=half_spectrum)
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -235,13 +287,19 @@ class ScalarField:
             self._spectrum = sfft.fftn(self.values)
         return self._spectrum
 
+    @property
+    def half_spectrum(self) -> np.ndarray:
+        """`rfftn` of the samples: the spectrum's last-axis columns 0..N/2."""
+        if self._half_spectrum is None:
+            self._half_spectrum = sfft.rfftn(self.values)
+        return self._half_spectrum
+
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.values).all())
 
     def l2_norm(self) -> float:
         """L2 norm over the box, computed spectrally (Parseval)."""
-        g = self.grid
-        return float(np.linalg.norm(self.spectrum) * np.sqrt(g.cell_volume) / np.sqrt(g.size))
+        return self.grid.parseval_norm(np.abs(self.half_spectrum) ** 2)
 
     def l2_norm_real(self) -> float:
         """L2 norm by real-space quadrature (trapezoidal on the periodic grid)."""
@@ -252,11 +310,12 @@ class ScalarField:
 
     def spectral_tail(self) -> float:
         """Relative L2 weight of modes outside the 2/3 dealiasing band."""
-        sp = np.abs(self.spectrum)
-        total = np.linalg.norm(sp)
+        g = self.grid
+        power = np.abs(self.half_spectrum) ** 2
+        total = g.parseval_norm(power)
         if total == 0.0:
             return 0.0
-        return float(np.linalg.norm(sp[~self.grid.dealias_mask]) / total)
+        return g.parseval_norm(np.where(g.half_dealias_mask, 0.0, power)) / total
 
     def __repr__(self):
         return f"ScalarField({self.grid!r})"
@@ -282,9 +341,7 @@ class VectorField:
         return float(self.magnitude().max())
 
     def l2_norm(self) -> float:
-        g = self.grid
-        tot = sum(np.sum(np.abs(sfft.fftn(c)) ** 2) for c in self.components)
-        return float(np.sqrt(tot * g.cell_volume / g.size))
+        return self.grid.parseval_norm(sum(np.abs(sfft.rfftn(c)) ** 2 for c in self.components))
 
 
 # ---------------------------------------------------------------------------
@@ -299,26 +356,24 @@ def fractional_laplacian(f: ScalarField, s: float) -> ScalarField:
     """
     if s < 0:
         raise ValueError(f"order must be >= 0, got {s}")
-    kk = f.grid.wavenumber_magnitude
-    return ScalarField.from_spectrum(f.grid, kk ** s * f.spectrum)
+    kk = f.grid.half_wavenumber_magnitude
+    return ScalarField.from_half_spectrum(f.grid, kk ** s * f.half_spectrum)
 
 
 def sobolev_norm(f: ScalarField, s: float) -> float:
-    """||f||_{L2} + ||Lambda^s f||_{L2}, both computed spectrally."""
-    return f.l2_norm() + fractional_laplacian(f, s).l2_norm()
+    """||f||_{L2} + ||Lambda^s f||_{L2}, both Parseval sums (no inverse FFT)."""
+    if s < 0:
+        raise ValueError(f"order must be >= 0, got {s}")
+    g = f.grid
+    power = np.abs(f.half_spectrum) ** 2
+    return g.parseval_norm(power) + g.parseval_norm(g.half_wavenumber_magnitude ** (2 * s) * power)
 
 
 def gradient(f: ScalarField) -> VectorField:
     """Spectral gradient; Nyquist modes are zeroed to keep components real."""
     g = f.grid
-    sp = f.spectrum
-    nyq = g.nyquist_mask
-    comps = []
-    for ax in range(g.n):
-        mult = 1j * g.wavenumbers[ax]
-        mult = np.where(nyq, 0.0, mult)
-        comps.append(sfft.ifftn(mult * sp).real)
-    return VectorField(g, comps)
+    sp = f.half_spectrum
+    return VectorField(g, [sfft.irfftn(m * sp, s=g.shape) for m in g.half_gradient_symbols])
 
 
 def max_gradient(f: ScalarField) -> float:

@@ -7,6 +7,12 @@ quadratic term alias-free.  Time stepping is classical RK4 with an advective
 CFL time step.  There is no dissipation: runs toward gradient blow-up are
 stopped once the gradient has grown past a set factor, after which the grid
 no longer resolves the solution.
+
+The state RK4 advances is the `rfftn` half spectrum, not the samples: one
+right-hand side costs n + n inverse and one forward real FFT, and a step
+adds one inverse FFT for the new samples (21 real FFTs per step in 2-D).
+The right-hand side vanishes outside the 2/3 band, so the modes there keep
+their initial values exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ import scipy.fft as sfft
 from .blowup import BlowupConfig, DiagnosticsSeries, blowup_functional
 from .fields import Grid, Params, ScalarField, max_gradient, sobolev_norm
 from .rk4 import Stop, rk4
-from .transform import _unit_direction_symbols
 
 __all__ = [
     "NdStop",
@@ -46,57 +51,56 @@ class NdState:
 
 
 class _Workspace:
-    """Per-run cached multiplier arrays (no sharing across concurrent runs)."""
+    """Per-run half-grid multipliers with the 2/3 mask folded in (no sharing
+    across concurrent runs)."""
 
     def __init__(self, grid: Grid, params: Params):
-        self.grid = grid
-        self.g = params.g
-        kk = grid.wavenumber_magnitude
-        screen = -np.expm1(-params.a * kk)
-        dirs = _unit_direction_symbols(grid)
-        self.vel_mult = [-1j * s * screen for s in dirs]
-        nyq = grid.nyquist_mask
-        self.grad_mult = [np.where(nyq, 0.0, 1j * k) for k in grid.wavenumbers]
-        self.mask = grid.dealias_mask
+        self.shape = grid.shape
+        mask = grid.half_dealias_mask
+        screen = -np.expm1(-params.a * grid.half_wavenumber_magnitude)
+        self.vel_mult = [-1j * s * screen * mask for s in grid.half_unit_directions]
+        self.grad_mult = [m * mask for m in grid.half_gradient_symbols]
+        self.out_mult = -params.g * mask
 
-    def advection(self, values: np.ndarray):
-        """Returns (-g * dealiased advection, max velocity magnitude)."""
-        sp = sfft.fftn(values) * self.mask
-        umax2 = None
-        adv = np.zeros_like(values)
-        u2 = np.zeros_like(values)
+    def advection(self, sp: np.ndarray):
+        """Half spectrum -> (half spectrum of -g * dealiased advection, max
+        velocity magnitude)."""
+        adv = np.zeros(self.shape)
+        u2 = np.zeros(self.shape)
         for vm, gm in zip(self.vel_mult, self.grad_mult):
-            u = sfft.ifftn(vm * sp).real
-            adv += u * sfft.ifftn(gm * sp).real
+            u = sfft.irfftn(vm * sp, s=self.shape)
+            adv += u * sfft.irfftn(gm * sp, s=self.shape)
             u2 += u * u
-        out = -self.g * sfft.ifftn(sfft.fftn(adv) * self.mask).real
-        return out, float(np.sqrt(u2.max()))
+        return self.out_mult * sfft.rfftn(adv), float(np.sqrt(u2.max()))
 
 
 def rhs(state: NdState, workspace: _Workspace | None = None) -> ScalarField:
     """-g (R_a rho) . grad(rho), dealiased by the 2/3 rule on both factors
     and re-truncated."""
     ws = workspace or _Workspace(state.rho.grid, state.params)
-    out, _ = ws.advection(state.rho.values)
-    return ScalarField(state.rho.grid, out)
+    out, _ = ws.advection(state.rho.half_spectrum)
+    return ScalarField.from_half_spectrum(state.rho.grid, out)
 
 
 def step_rk4(state: NdState, dt: float, workspace: _Workspace | None = None, k1=None):
     """Classical RK4 advance; returns (new_state, None) or
     (state, NdStop.NONFINITE) when the step produces nonfinite values.
 
-    `k1` is the right-hand side at `state` when the caller already has it.
+    `k1` is the right-hand side at `state` (a half spectrum, as returned by
+    the workspace's `advection`) when the caller already has it.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    ws = workspace or _Workspace(state.rho.grid, state.params)
-    v = state.rho.values
+    grid = state.rho.grid
+    ws = workspace or _Workspace(grid, state.params)
+    sp = state.rho.half_spectrum
     if k1 is None:
-        k1, _ = ws.advection(v)
-    new = rk4(v, dt, k1, lambda y: ws.advection(y)[0])
+        k1, _ = ws.advection(sp)
+    new = rk4(sp, dt, k1, lambda y: ws.advection(y)[0])
     if not np.isfinite(new).all():
         return state, NdStop.NONFINITE
-    return replace(state, time=state.time + dt, rho=ScalarField(state.rho.grid, new)), None
+    rho = ScalarField(grid, sfft.irfftn(new, s=grid.shape), _half_spectrum=new)
+    return replace(state, time=state.time + dt, rho=rho), None
 
 
 def _cfl_dt(cfl: float, spacing: float, speed: float, dt_min: float, dt_max: float) -> float:
@@ -110,7 +114,7 @@ def adaptive_dt(state: NdState, cfl: float, dt_max: float = 0.05,
     """dt = cfl * spacing / (g * max |R_a rho| + eps), clamped to
     [DT_MIN, dt_max].  The advection speed carries the factor g."""
     ws = workspace or _Workspace(state.rho.grid, state.params)
-    _, umax = ws.advection(state.rho.values)
+    _, umax = ws.advection(state.rho.half_spectrum)
     return _cfl_dt(cfl, state.rho.grid.spacing, state.params.g * umax, DT_MIN, dt_max)
 
 
@@ -200,8 +204,9 @@ def run_nd(rho0: ScalarField, params: Params, *,
     next_record = output_interval
     next_snap = snapshot_interval if snapshot_interval else None
     si = 0
+    dt_taken = 0.0
     while state.time < t_max:
-        k1, umax = ws.advection(state.rho.values)
+        k1, umax = ws.advection(state.rho.half_spectrum)
         dt = _cfl_dt(cfl, grid.spacing, params.g * umax, dt_min, dt_max)
         if dt <= dt_min * (1.0 + 1e-12):
             stop = NdStop.DT_UNDERFLOW
@@ -216,7 +221,7 @@ def run_nd(rho0: ScalarField, params: Params, *,
         if fail is not None:
             stop = fail
             break
-        state = state2
+        state, dt_taken = state2, dt
         if target is not None:
             snapshots.append((target, state.rho))
             si += 1
@@ -231,7 +236,7 @@ def run_nd(rho0: ScalarField, params: Params, *,
                 stop = NdStop.GRADIENT_THRESHOLD
                 break
     if series.times[-1] < state.time:
-        record(state, float(series.column("dt")[-1]) if len(series) else 0.0)
+        record(state, dt_taken)
     if snapshots[-1][0] < state.time:
         snapshots.append((state.time, state.rho))
     return NdRunResult(series, snapshots, stop, rho0, threshold_time, grid, params,

@@ -29,7 +29,7 @@ from scipy import special
 from scipy.interpolate import RectBivariateSpline
 from scipy.ndimage import map_coordinates
 
-from .fields import Grid, Params, ScalarField, VectorField
+from .fields import Params, ScalarField, VectorField
 from .kernels import gauss_panels, psi
 
 __all__ = [
@@ -80,25 +80,11 @@ class KernelSpec:
         return cn * poisson_part
 
 
-def _unit_direction_symbols(grid: Grid):
-    """k_j / |k| per axis with the zero mode and Nyquist rows zeroed."""
-    kk = grid.wavenumber_magnitude
-    nyq = grid.nyquist_mask
-    out = []
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for ax in range(grid.n):
-            s = np.where(kk > 0.0, grid.wavenumbers[ax] / np.where(kk > 0, kk, 1.0), 0.0)
-            out.append(np.where(nyq, 0.0, s))
-    return out
-
-
-def _apply_directional(f: ScalarField, radial_multiplier: np.ndarray) -> VectorField:
+def _apply_directional(f: ScalarField, radial_multiplier) -> VectorField:
     g = f.grid
-    sp = f.spectrum
-    comps = []
-    for s in _unit_direction_symbols(g):
-        comps.append(sfft.ifftn(-1j * s * radial_multiplier * sp).real)
-    return VectorField(g, comps)
+    sp = f.half_spectrum
+    return VectorField(g, [sfft.irfftn(-1j * s * radial_multiplier * sp, s=g.shape)
+                           for s in g.half_unit_directions])
 
 
 def screened_riesz(f: ScalarField, params: Params) -> VectorField:
@@ -109,19 +95,19 @@ def screened_riesz(f: ScalarField, params: Params) -> VectorField:
     """
     if params.n != f.grid.n:
         raise ValueError("params dimension does not match the grid")
-    mult = -np.expm1(-params.a * f.grid.wavenumber_magnitude)
+    mult = -np.expm1(-params.a * f.grid.half_wavenumber_magnitude)
     return _apply_directional(f, mult)
 
 
 def conjugate_poisson(f: ScalarField, params: Params) -> VectorField:
     """Spectral multiplier -i k_j/|k| e^{-a|k|} (the smooth part of the kernel)."""
-    mult = np.exp(-params.a * f.grid.wavenumber_magnitude)
+    mult = np.exp(-params.a * f.grid.half_wavenumber_magnitude)
     return _apply_directional(f, mult)
 
 
 def riesz(f: ScalarField) -> VectorField:
     """Riesz transform, multiplier -i k_j/|k|; the mean maps to zero by convention."""
-    return _apply_directional(f, np.ones(f.grid.shape))
+    return _apply_directional(f, 1.0)
 
 
 def screened_riesz_divergence(f: ScalarField, params: Params) -> ScalarField:
@@ -130,9 +116,9 @@ def screened_riesz_divergence(f: ScalarField, params: Params) -> ScalarField:
     Nyquist modes are zeroed to match the divergence of the velocity field
     actually produced by `screened_riesz` (whose odd symbols drop them).
     """
-    kk = f.grid.wavenumber_magnitude
-    mult = np.where(f.grid.nyquist_mask, 0.0, kk * (-np.expm1(-params.a * kk)))
-    return ScalarField.from_spectrum(f.grid, mult * f.spectrum)
+    kk = f.grid.half_wavenumber_magnitude
+    mult = np.where(f.grid.half_nyquist_mask, 0.0, kk * (-np.expm1(-params.a * kk)))
+    return ScalarField.from_half_spectrum(f.grid, mult * f.half_spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +315,13 @@ def limit_report(f: ScalarField, a_values) -> LimitReport:
     if np.any(a_values < 0.0) or np.any(np.diff(a_values) < 0.0):
         raise ValueError("a_values must be nonnegative and ascending")
     g = f.grid
-    kk = g.wavenumber_magnitude
-    sp = np.abs(f.spectrum) ** 2
-    sp = np.where(kk > 0.0, sp, 0.0)
-    scale = g.cell_volume / g.size
+    kk = g.half_wavenumber_magnitude
+    sp = np.where(kk > 0.0, np.abs(f.half_spectrum) ** 2, 0.0)
     riesz_gap = np.empty_like(a_values)
     zero_gap = np.empty_like(a_values)
     for i, a in enumerate(a_values):
-        decay = np.exp(-a * kk)
-        riesz_gap[i] = np.sqrt(np.sum(decay ** 2 * sp) * scale)
-        zero_gap[i] = np.sqrt(np.sum((-np.expm1(-a * kk)) ** 2 * sp) * scale)
+        riesz_gap[i] = g.parseval_norm(np.exp(-a * kk) ** 2 * sp)
+        zero_gap[i] = g.parseval_norm((-np.expm1(-a * kk)) ** 2 * sp)
     return LimitReport(a_values, riesz_gap, zero_gap)
 
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import scipy.fft as sfft
+
 from screened_transport import (
     Params,
     RadialProfile,
     ScalarField,
+    VectorField,
     bump_profile,
     evaluate_at,
     fractional_laplacian,
@@ -69,6 +72,67 @@ class TestScalarField:
         vals = np.zeros(g.shape)
         vals[3, 3] = np.inf
         assert not ScalarField(g, vals).is_finite()
+
+
+def _edge_column_field(g, rng):
+    """Random field plus a constant, a mode along the first axis only and
+    (-1)^j along the last axis: energy sits in the zero and Nyquist columns
+    of the half spectrum."""
+    x = g.coords
+    vals = (0.7 + np.cos(2.0 * np.pi / g.half_width * x[0])
+            + (-1.0) ** np.arange(g.N) + 0.5 * rng.standard_normal(g.shape))
+    return ScalarField(g, vals)
+
+
+def _full_spectrum_norm(g, spectrum, s=0.0):
+    power = g.wavenumber_magnitude ** (2.0 * s) * np.abs(spectrum) ** 2
+    return np.sqrt(np.sum(power) * g.cell_volume / g.size)
+
+
+class TestParsevalHalfSpectrum:
+    """Norms are weighted sums over the rfftn half spectrum; these fields
+    put energy in its zero and Nyquist columns, where the weight is 1."""
+
+    @pytest.fixture(params=[(2, 32), (3, 16)], ids=["n2", "n3"])
+    def grid(self, request):
+        n, N = request.param
+        return make_grid(n, 2.0, N)
+
+    def test_edge_columns_carry_energy(self, grid, rng):
+        power = np.abs(_edge_column_field(grid, rng).half_spectrum) ** 2
+        total = power.sum()
+        assert power[..., 0].sum() > 0.05 * total
+        assert power[..., -1].sum() > 0.05 * total
+
+    def test_l2_norm(self, grid, rng):
+        f = _edge_column_field(grid, rng)
+        assert f.l2_norm() == pytest.approx(f.l2_norm_real(), rel=1e-13)
+        assert f.l2_norm() == pytest.approx(_full_spectrum_norm(grid, sfft.fftn(f.values)),
+                                            rel=1e-13)
+
+    @pytest.mark.parametrize("s", [0.0, 1.5, 3.0])
+    def test_sobolev_norm(self, grid, rng, s):
+        f = _edge_column_field(grid, rng)
+        sp = sfft.fftn(f.values)
+        lam_s = sfft.ifftn(grid.wavenumber_magnitude ** s * sp).real
+        real_space = f.l2_norm_real() + np.sqrt(np.sum(lam_s ** 2) * grid.cell_volume)
+        spectral = _full_spectrum_norm(grid, sp) + _full_spectrum_norm(grid, sp, s)
+        assert sobolev_norm(f, s) == pytest.approx(real_space, rel=1e-13)
+        assert sobolev_norm(f, s) == pytest.approx(spectral, rel=1e-13)
+
+    def test_vector_l2_norm(self, grid, rng):
+        comps = [_edge_column_field(grid, rng).values for _ in range(grid.n)]
+        v = VectorField(grid, comps)
+        real_space = np.sqrt(sum(np.sum(c ** 2) for c in comps) * grid.cell_volume)
+        spectral = np.sqrt(sum(_full_spectrum_norm(grid, sfft.fftn(c)) ** 2 for c in comps))
+        assert v.l2_norm() == pytest.approx(real_space, rel=1e-13)
+        assert v.l2_norm() == pytest.approx(spectral, rel=1e-13)
+
+    def test_half_spectrum_round_trip(self, grid, rng):
+        f = _edge_column_field(grid, rng)
+        back = ScalarField.from_half_spectrum(grid, f.half_spectrum)
+        assert np.max(np.abs(back.values - f.values)) <= 1e-13 * np.max(np.abs(f.values))
+        assert back.half_spectrum is f.half_spectrum
 
 
 class TestFractionalLaplacian:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from screened_transport import (
     NdState,
@@ -74,6 +75,43 @@ class TestRhs:
         out = rhs(bump_state(grid96))
         sp = np.abs(out.spectrum)
         assert sp[~grid96.dealias_mask].max() <= 1e-12 * sp.max()
+
+
+def oracle_advection(field, params):
+    """The complex-FFT advection on the full grid: fftn, full-grid
+    multipliers, ifftn(...).real and re-truncation."""
+    g = field.grid
+    kk = g.wavenumber_magnitude
+    nyq = g.nyquist_mask
+    screen = -np.expm1(-params.a * kk)
+    sp = sfft.fftn(field.values) * g.dealias_mask
+    adv = np.zeros(g.shape)
+    u2 = np.zeros(g.shape)
+    for k in g.wavenumbers:
+        direction = np.where(nyq | (kk == 0.0), 0.0, k / np.where(kk > 0.0, kk, 1.0))
+        u = sfft.ifftn(-1j * direction * screen * sp).real
+        adv += u * sfft.ifftn(np.where(nyq, 0.0, 1j * k) * sp).real
+        u2 += u * u
+    out = -params.g * sfft.ifftn(sfft.fftn(adv) * g.dealias_mask).real
+    return out, np.sqrt(u2.max())
+
+
+class TestAdvectionOracle:
+    @pytest.mark.parametrize("n,N", [(2, 64), (3, 16)])
+    def test_matches_complex_fft_advection(self, n, N):
+        rng = np.random.default_rng(2024 + n)
+        g = make_grid(n, 3.0, N)
+        params = Params(n, 0.7, 1.3)
+        # band-limited: keep integer modes |m| <= N/4 on every axis
+        band = np.ones(g.shape, dtype=bool)
+        for k in g.wavenumbers:
+            band &= np.abs(k) * g.half_width / np.pi <= N / 4
+        field = ScalarField(g, sfft.ifftn(sfft.fftn(rng.standard_normal(g.shape)) * band).real)
+        expect, expect_speed = oracle_advection(field, params)
+        sp, speed = _Workspace(g, params).advection(field.half_spectrum)
+        got = sfft.irfftn(sp, s=g.shape)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+        assert speed == pytest.approx(expect_speed, rel=1e-13)
 
 
 class TestStepRk4:
@@ -169,9 +207,9 @@ class TestRunNd:
         calls = {"advection": 0, "steps": 0}
         advection, step = _Workspace.advection, ndsolver.step_rk4
 
-        def counted_advection(self, values):
+        def counted_advection(self, sp):
             calls["advection"] += 1
-            return advection(self, values)
+            return advection(self, sp)
 
         def counted_step(*args, **kwargs):
             calls["steps"] += 1
@@ -183,6 +221,40 @@ class TestRunNd:
         run_nd(rho0, P2, t_max=0.1, output_interval=0.05, support_radius=1.0)
         assert calls["steps"] > 0
         assert calls["advection"] == 4 * calls["steps"]
+
+    def test_one_step_makes_21_real_ffts(self, monkeypatch):
+        # per stage 2 + 2 inverse and 1 forward rfftn, plus one inverse for
+        # the new samples; the benchmark counts FFTs through ndsolver.sfft
+        calls = []
+        real = ndsolver.sfft
+
+        class Counting:
+            def __getattr__(self, name):
+                fn = getattr(real, name)
+
+                def counted(*args, **kwargs):
+                    calls.append(name)
+                    return fn(*args, **kwargs)
+                return counted
+
+        monkeypatch.setattr(ndsolver, "sfft", Counting())
+        grid = make_grid(2, 4.0, 64)
+        rho0 = masked(sample_radial(bump_profile(1.0, 1.0, 2.0), grid))
+        res = run_nd(rho0, P2, t_max=0.01, output_interval=0.05, support_radius=1.0)
+        assert [t for t, _ in res.snapshots] == [0.0, pytest.approx(0.01)]
+        assert len(calls) == 21
+        assert set(calls) == {"rfftn", "irfftn"}
+
+    def test_final_row_records_last_dt(self):
+        # the run ends on the time limit with a short step of 0.02 after
+        # steps of 0.05; the closing row must carry 0.02
+        grid = make_grid(2, 4.0, 64)
+        rho0 = sample_radial(bump_profile(2.0, 1.0, 4.0), grid)
+        with pytest.warns(UserWarning, match="spectral tail"):
+            res = run_nd(rho0, P2, t_max=0.37, output_interval=0.15)
+        assert res.stop_reason is NdStop.TIME_LIMIT
+        assert res.series.t == pytest.approx([0.0, 0.15, 0.35, 0.37])
+        assert res.series.column("dt") == pytest.approx([0.0, 0.05, 0.05, 0.02])
 
     @pytest.mark.parametrize("cfl", [1.5, -0.2, 0.0, 1.0])
     def test_rejects_bad_cfl(self, cfl):
