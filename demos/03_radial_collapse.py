@@ -54,7 +54,7 @@ print("\norigin value is conserved exactly:",
       bool(np.all(s.column("origin_value") == s.column("origin_value")[0])))
 print("support only shrinks:", bool(np.all(np.diff(s.column("support_radius")) <= 1e-12)))
 
-rep = derivative_along_flow(result, params, at_time=0.5)
+rep = derivative_along_flow(result, at_time=0.5)
 print(f"\nflow-map derivative check at t = 0.5: the two independent "
       f"reconstructions differ by {rep['max_relative_discrepancy']:.2e} "
       f"(relative, away from the support edge)")

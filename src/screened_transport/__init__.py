@@ -53,7 +53,6 @@ from .blowup import (
 from .radial import (
     RadialRunResult,
     RadialState,
-    RadialStop,
     derivative_along_flow,
     radial_rhs,
     run_radial,
@@ -61,7 +60,6 @@ from .radial import (
 from .ndsolver import (
     NdRunResult,
     NdState,
-    NdStop,
     adaptive_dt,
     bkm_partial_integral,
     rhs,
@@ -77,6 +75,7 @@ from .inequalities import (
     screening_weight,
     young_split,
 )
+from .rk4 import Stop
 from .config import ConfigError, ExperimentConfig, parse_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -83,37 +83,41 @@ class DiagnosticsSeries:
     def column(self, name: str) -> np.ndarray:
         return np.asarray(self.columns[name])
 
-    def _write(self, path, sep: str, header_prefix: str, time_name: str) -> None:
+    def _write(self, path, sep: str, header_prefix: str) -> None:
         with open(path, "w") as fh:
-            fh.write(header_prefix + sep.join([time_name] + list(self.columns)) + "\n")
+            fh.write(header_prefix + sep.join(["t"] + list(self.columns)) + "\n")
             for i, t in enumerate(self.times):
                 row = [f"{t:.17g}"] + [f"{self.columns[c][i]:.17g}" for c in self.columns]
                 fh.write(sep.join(row) + "\n")
 
-    def to_csv(self, path, time_name: str = "t") -> None:
-        self._write(path, ",", "", time_name)
+    def to_csv(self, path) -> None:
+        self._write(path, ",", "")
 
-    def to_dat(self, path, time_name: str = "t") -> None:
+    def to_dat(self, path) -> None:
         """gnuplot-compatible whitespace columns with a commented header."""
-        self._write(path, " ", "# ", time_name)
+        self._write(path, " ", "# ")
 
 
 # ---------------------------------------------------------------------------
 # the weighted functional
 # ---------------------------------------------------------------------------
 
+# the graded rule: Gauss points per panel, at most this many halvings toward 0
+_N_GL, _DEPTH = 16, 40
+
+
 def _graded_weighted_integral(value_fn, origin_value: float, L: float, n: int,
-                              delta: float, n_gl: int = 16, depth: int = 40) -> float:
+                              delta: float) -> float:
     """omega_{n-1} * int_0^L (value(r) - origin) r^{-1-delta} dr with panels
     graded geometrically toward the weight's singularity at 0."""
     brk = [L]
     w = L
-    for _ in range(depth):
+    for _ in range(_DEPTH):
         w *= 0.5
         brk.append(w)
         if w < 1e-9 * L:
             break
-    r, wt = gauss_panels(np.unique(np.asarray(brk + [0.0])), n_gl)
+    r, wt = gauss_panels(np.unique(np.asarray(brk + [0.0])), _N_GL)
     vals = (np.asarray(value_fn(r), dtype=float) - origin_value) * r ** (-1.0 - delta)
     return sphere_area(n) * float(np.dot(wt, vals))
 
@@ -167,8 +171,9 @@ def predict_blowup_time(I0: float, rate: float) -> float:
 
 
 def riccati_check(series: DiagnosticsSeries, cfg: BlowupConfig,
-                  i_column: str = "i_delta", window_end: float | None = None) -> dict:
-    """Compare centered differences of I(t) against the Riccati lower bound.
+                  window_end: float | None = None) -> dict:
+    """Compare centered differences of I(t) (the `i_delta` column) against the
+    Riccati lower bound.
 
     slack_i = dI/dt(t_i) - c I(t_i)^2 at interior samples; the check passes
     when min slack >= -tol with tol supplied by the caller (the report also
@@ -177,7 +182,7 @@ def riccati_check(series: DiagnosticsSeries, cfg: BlowupConfig,
     if len(series) < 3:
         raise ValueError("need at least 3 samples")
     t = series.t
-    I = series.column(i_column)
+    I = series.column("i_delta")
     if window_end is not None:
         keep = t <= window_end
         t, I = t[keep], I[keep]

@@ -1,4 +1,4 @@
-"""Command line interface: run / validate / sweep over experiment configs."""
+"""Command line interface: run / validate experiment configs."""
 
 from __future__ import annotations
 
@@ -19,12 +19,9 @@ def main(argv=None) -> int:
         prog="screened-transport",
         description="Run screened-Riesz transport experiments from declarative configs.",
     )
-    ap.add_argument("--threads", type=int, default=1,
-                    help="cap on parallel sweep cells (default 1, sequential)")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, doc in (("run", "execute one experiment config"),
-                      ("validate", "check a config and echo the resolved values"),
-                      ("sweep", "execute a config whose mode is a sweep")):
+                      ("validate", "check a config and echo the resolved values")):
         p = sub.add_parser(name, help=doc)
         p.add_argument("config", help="path to an INI experiment config")
     args = ap.parse_args(argv)
@@ -42,12 +39,8 @@ def main(argv=None) -> int:
         for key, value in sorted(cfg.as_dict().items()):
             print(f"{key} = {value}")
         return 0
-    if args.command == "sweep" and cfg.mode != "inequality_sweep":
-        print(f"error: 'sweep' expects an inequality_sweep config, got mode={cfg.mode}",
-              file=sys.stderr)
-        return EXIT_CODES["config_error"]
     try:
-        return run(cfg, threads=max(1, args.threads))
+        return run(cfg)
     except OSError as exc:
         print(f"error: i/o failure: {exc}", file=sys.stderr)
         return 1

@@ -1,7 +1,8 @@
 """Declarative experiment configuration (INI sections, typed schema).
 
 Unknown sections or keys are errors; validation collects every problem
-before reporting.  A fixed seed makes sequential runs bit-reproducible.
+before reporting.  `experiment.seed` is only echoed into the manifest;
+nothing reads it, and runs are deterministic without it.
 """
 
 from __future__ import annotations
@@ -104,7 +105,6 @@ _SCHEMAS = {
         "stop": {
             "t_max": (_pos_float, False, 30.0),
             "gradient_factor": (_pos_float, False, 50.0),
-            "dt_min": (_pos_float, False, 1e-8),
         },
         "blowup": {
             "delta": (_delta, False, 0.25),

@@ -431,7 +431,6 @@ class RadialProfile:
             raise ValueError("values are not nondecreasing")
         self.nodes = nodes
         self.values = values
-        self.monotone = monotone
 
     @classmethod
     def from_poly(cls, poly) -> "RadialProfile":
@@ -476,11 +475,11 @@ class RadialProfile:
 class _BumpProfile(RadialProfile):
     """Smooth compactly supported radial well with closed-form derivative."""
 
-    def __init__(self, support_radius, depth, sharpness, n_nodes=801):
+    def __init__(self, support_radius, depth, sharpness):
         self.L = float(support_radius)
         self.depth = float(depth)
         self.sharpness = float(sharpness)
-        nodes = np.linspace(0.0, 2.0 * self.L, n_nodes)
+        nodes = np.linspace(0.0, 2.0 * self.L, 801)
         super().__init__(nodes, self._eval(nodes), monotone=True)
 
     def _eval(self, r):
@@ -558,8 +557,8 @@ def load_field(path):
     return ScalarField(grid, data), time
 
 
-def profile_to_csv(path, profile: RadialProfile, header: str = "r,value") -> None:
+def profile_to_csv(path, profile: RadialProfile) -> None:
     with open(path, "w") as fh:
-        fh.write(header + "\n")
+        fh.write("r,value\n")
         for r, v in zip(profile.nodes, profile.values):
             fh.write(f"{r:.17g},{v:.17g}\n")

@@ -115,10 +115,10 @@ class TestFunctionFamily:
             return _smoothed_ramp(*(self.parameters or (1.0, 0.3, 1.0, 0.1)))
         return _monotone_spline(self.seed, *(self.parameters or ()))
 
-    def validate(self, n_check: int = 2001) -> None:
+    def validate(self) -> None:
         """Enforce the class invariants on a dense sample."""
         f = self.sample()
-        r = np.linspace(0.0, 1.2 * f.support_radius, n_check)
+        r = np.linspace(0.0, 1.2 * f.support_radius, 2001)
         d = f.derivative(r)
         if np.any(d < -1e-10 * (np.abs(d).max() + 1e-300)):
             raise AssertionError(f"{self.kind}: derivative goes negative")
@@ -183,11 +183,16 @@ def report_to_json(report: CertificateReport, path) -> None:
 # quadrature helpers
 # ---------------------------------------------------------------------------
 
-def _graded_breaks(upper, breakpoints, per_unit=12, depth=40):
-    brk = set(np.linspace(0.0, upper, max(4, int(np.ceil(per_unit * upper))) + 1))
+# the graded rule: uniform panels per unit length, halvings toward the origin,
+# and Gauss points per panel for the profile integral and the bilinear sides
+_PER_UNIT, _DEPTH, _N_GL_PROFILE, _N_GL_BILINEAR = 12, 40, 24, 16
+
+
+def _graded_breaks(upper, breakpoints):
+    brk = set(np.linspace(0.0, upper, max(4, int(np.ceil(_PER_UNIT * upper))) + 1))
     brk.update(b for b in np.asarray(breakpoints, float) if 0.0 < b < upper)
     w = upper
-    for _ in range(depth):
+    for _ in range(_DEPTH):
         w *= 0.5
         brk.add(w)
         if w < 1e-10 * upper:
@@ -197,12 +202,12 @@ def _graded_breaks(upper, breakpoints, per_unit=12, depth=40):
     return brk[keep]
 
 
-def weighted_profile_integral(f, r: float, n: int, n_gl: int = 24) -> float:
+def weighted_profile_integral(f, r: float, n: int) -> float:
     """int_0^r (f(r) - f(rho)) rho^{n-1} d(rho) by panel Gauss-Legendre."""
     if r <= 0:
         return 0.0
     brk = _graded_breaks(r, f.breakpoints)
-    rho, w = gauss_panels(brk, n_gl)
+    rho, w = gauss_panels(brk, _N_GL_PROFILE)
     fr = float(np.asarray(f.value(np.asarray([r])))[0])
     return float(np.dot(w, (fr - f.value(rho)) * rho ** (n - 1)))
 
@@ -249,25 +254,25 @@ def certify_pointwise(f, params: Params, radii, tolerance: float = 1e-8) -> Cert
     )
 
 
-def _bilinear_lhs(f, params: Params, delta: float, n_gl: int = 16) -> float:
+def _bilinear_lhs(f, params: Params, delta: float) -> float:
     """-int R_a f . grad f / |x|^{n+delta} dx by radial reduction:
     -omega_{n-1} int u_r(r) f'(r) r^{-1-delta} dr (exact on the support of f')."""
     R = f.support_radius
     brk = _graded_breaks(R, f.breakpoints)
-    r, w = gauss_panels(brk, n_gl)
+    r, w = gauss_panels(brk, _N_GL_BILINEAR)
     u = radial_velocity(f, params, r)
     integrand = -u * f.derivative(r) * r ** (-1.0 - delta)
     return sphere_area(params.n) * float(np.dot(w, integrand))
 
 
-def _bilinear_rhs(f, params: Params, delta: float, n_gl: int = 16) -> float:
+def _bilinear_rhs(f, params: Params, delta: float) -> float:
     """C_{n,delta} int (f - f(0))^2 / |x|^{n+1+delta} w_a(|x|) dx, truncated
     where the analytic tail bound falls below 1e-10 of the running value."""
     n, a = params.n, params.a
     f0 = float(np.asarray(f.value(np.asarray([0.0])))[0])
     R = f.support_radius
     body_breaks = _graded_breaks(R, f.breakpoints)
-    r, w = gauss_panels(body_breaks, n_gl)
+    r, w = gauss_panels(body_breaks, _N_GL_BILINEAR)
 
     def chunk(rr, ww):
         vals = (np.asarray(f.value(rr)) - f0) ** 2 * rr ** (-2.0 - delta) \
@@ -284,7 +289,7 @@ def _bilinear_rhs(f, params: Params, delta: float, n_gl: int = 16) -> float:
         if tail_bound <= 1e-10 * abs(total) + 1e-300:
             break
         hi = 2.0 * lo
-        r2, w2 = gauss_panels(np.array([lo, hi]), n_gl)
+        r2, w2 = gauss_panels(np.array([lo, hi]), _N_GL_BILINEAR)
         total += chunk(r2, w2)
         lo = hi
         if lo > 1e9 * max(R, a):

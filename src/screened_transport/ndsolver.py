@@ -28,7 +28,6 @@ from .fields import Grid, Params, ScalarField, max_gradient, sobolev_norm
 from .rk4 import Stop, rk4
 
 __all__ = [
-    "NdStop",
     "NdState",
     "NdRunResult",
     "rhs",
@@ -38,9 +37,8 @@ __all__ = [
     "bkm_partial_integral",
 ]
 
-DT_MIN = 1e-8
+DT_MIN, DT_MAX = 1e-8, 0.05
 RESOLVED_TAIL = 1e-10
-NdStop = Stop
 
 
 @dataclass
@@ -84,7 +82,7 @@ def rhs(state: NdState, workspace: _Workspace | None = None) -> ScalarField:
 
 def step_rk4(state: NdState, dt: float, workspace: _Workspace | None = None, k1=None):
     """Classical RK4 advance; returns (new_state, None) or
-    (state, NdStop.NONFINITE) when the step produces nonfinite values.
+    (state, Stop.NONFINITE) when the step produces nonfinite values.
 
     `k1` is the right-hand side at `state` (a half spectrum, as returned by
     the workspace's `advection`) when the caller already has it.
@@ -98,54 +96,49 @@ def step_rk4(state: NdState, dt: float, workspace: _Workspace | None = None, k1=
         k1, _ = ws.advection(sp)
     new = rk4(sp, dt, k1, lambda y: ws.advection(y)[0])
     if not np.isfinite(new).all():
-        return state, NdStop.NONFINITE
+        return state, Stop.NONFINITE
     rho = ScalarField(grid, sfft.irfftn(new, s=grid.shape), _half_spectrum=new)
     return replace(state, time=state.time + dt, rho=rho), None
 
 
-def _cfl_dt(cfl: float, spacing: float, speed: float, dt_min: float, dt_max: float) -> float:
+def _cfl_dt(cfl: float, spacing: float, speed: float, dt_max: float) -> float:
     if not 0.0 < cfl < 1.0:
         raise ValueError("cfl must lie in (0, 1)")
-    return float(np.clip(cfl * spacing / (speed + 1e-300), dt_min, dt_max))
+    return float(np.clip(cfl * spacing / (speed + 1e-300), DT_MIN, dt_max))
 
 
-def adaptive_dt(state: NdState, cfl: float, dt_max: float = 0.05,
+def adaptive_dt(state: NdState, cfl: float, dt_max: float = DT_MAX,
                 workspace: _Workspace | None = None) -> float:
     """dt = cfl * spacing / (g * max |R_a rho| + eps), clamped to
     [DT_MIN, dt_max].  The advection speed carries the factor g."""
     ws = workspace or _Workspace(state.rho.grid, state.params)
     _, umax = ws.advection(state.rho.half_spectrum)
-    return _cfl_dt(cfl, state.rho.grid.spacing, state.params.g * umax, DT_MIN, dt_max)
+    return _cfl_dt(cfl, state.rho.grid.spacing, state.params.g * umax, dt_max)
 
 
 @dataclass
 class NdRunResult:
     series: DiagnosticsSeries
     snapshots: list               # (time, ScalarField)
-    stop_reason: NdStop
+    stop_reason: Stop
     initial: ScalarField
     threshold_time: float | None  # first time sup_grad exceeded the stop factor
     grid: Grid
-    params: Params
-    config: dict
 
 
 def run_nd(rho0: ScalarField, params: Params, *,
            t_max: float = 30.0,
            gradient_factor: float = 50.0,
            cfl: float = 0.4,
-           dt_max: float = 0.05,
-           dt_min: float = DT_MIN,
            delta: float = 0.25,
            support_radius: float | None = None,
-           sobolev_orders=(3.0,),
            output_interval: float | None = None,
            snapshot_interval: float | None = None,
            snapshot_times=None) -> NdRunResult:
     """Integrate until t_max, gradient growth past `gradient_factor`, a dt
-    underflow, or a nonfinite state.
+    underflow (below DT_MIN), or a nonfinite state; dt never exceeds DT_MAX.
 
-    Records max gradient, L2, Sobolev norms, the blow-up functional, the
+    Records max gradient, L2 and H^3 norms, the blow-up functional, the
     running gradient time integral, the origin value, and the mass fraction
     outside the support ball at every output time; snapshots the full field
     at `snapshot_interval` (or the explicit `snapshot_times`).
@@ -170,9 +163,8 @@ def run_nd(rho0: ScalarField, params: Params, *,
     out_mask = grid.radius >= support_radius
     origin = grid.origin_index
 
-    cols = ["dt", "sup_grad", "l2"] + [f"hs_{s:g}" for s in sobolev_orders] + \
-           ["i_delta", "bkm_partial", "origin_value", "support_mass_out"]
-    series = DiagnosticsSeries(cols)
+    series = DiagnosticsSeries(["dt", "sup_grad", "l2", "hs_3", "i_delta", "bkm_partial",
+                                "origin_value", "support_mass_out"])
     bkm = 0.0
     last = {"t": 0.0, "sg": sg0}
 
@@ -186,20 +178,19 @@ def run_nd(rho0: ScalarField, params: Params, *,
             "dt": dt_now,
             "sup_grad": sg,
             "l2": st.rho.l2_norm(),
+            "hs_3": sobolev_norm(st.rho, 3.0),
             "i_delta": blowup_functional(st.rho, cfg),
             "bkm_partial": bkm,
             "origin_value": float(vals[origin]),
             "support_mass_out": float(np.abs(vals[out_mask]).sum()
                                       / max(np.abs(vals).sum(), 1e-300)),
         }
-        for s in sobolev_orders:
-            row[f"hs_{s:g}"] = sobolev_norm(st.rho, s)
         series.append(st.time if st.time > 0 else 0.0, **row)
         return sg
 
     record(state, 0.0)
     snapshots = [(0.0, rho0)]
-    stop = NdStop.TIME_LIMIT
+    stop = Stop.TIME_LIMIT
     threshold_time = None
     next_record = output_interval
     next_snap = snapshot_interval if snapshot_interval else None
@@ -207,9 +198,9 @@ def run_nd(rho0: ScalarField, params: Params, *,
     dt_taken = 0.0
     while state.time < t_max:
         k1, umax = ws.advection(state.rho.half_spectrum)
-        dt = _cfl_dt(cfl, grid.spacing, params.g * umax, dt_min, dt_max)
-        if dt <= dt_min * (1.0 + 1e-12):
-            stop = NdStop.DT_UNDERFLOW
+        dt = _cfl_dt(cfl, grid.spacing, params.g * umax, DT_MAX)
+        if dt <= DT_MIN * (1.0 + 1e-12):
+            stop = Stop.DT_UNDERFLOW
             break
         target = None
         if si < len(snapshot_times) and state.time + dt >= snapshot_times[si]:
@@ -233,25 +224,22 @@ def run_nd(rho0: ScalarField, params: Params, *,
             next_record = state.time + output_interval
             if sg0 > 0.0 and sg >= gradient_factor * sg0:
                 threshold_time = state.time
-                stop = NdStop.GRADIENT_THRESHOLD
+                stop = Stop.GRADIENT_THRESHOLD
                 break
     if series.times[-1] < state.time:
         record(state, dt_taken)
     if snapshots[-1][0] < state.time:
         snapshots.append((state.time, state.rho))
-    return NdRunResult(series, snapshots, stop, rho0, threshold_time, grid, params,
-                       {"t_max": t_max, "gradient_factor": gradient_factor, "cfl": cfl,
-                        "dt_max": dt_max, "delta": delta, "support_radius": support_radius})
+    return NdRunResult(series, snapshots, stop, rho0, threshold_time, grid)
 
 
-def bkm_partial_integral(series: DiagnosticsSeries, column: str = "sup_grad",
-                         up_to: float | None = None) -> float:
+def bkm_partial_integral(series: DiagnosticsSeries, up_to: float | None = None) -> float:
     """Trapezoidal accumulation of the recorded max gradient over time, the
     continuation monitor: bounded iff the solution continues."""
     if len(series) == 0:
         raise ValueError("series is empty")
     t = series.t
-    v = series.column(column)
+    v = series.column("sup_grad")
     if up_to is not None:
         keep = t <= up_to
         t, v = t[keep], v[keep]

@@ -22,7 +22,6 @@ from .rk4 import Stop, rk4
 from .transform import radial_velocity
 
 __all__ = [
-    "RadialStop",
     "RadialState",
     "RadialRunResult",
     "blended_markers",
@@ -33,21 +32,21 @@ __all__ = [
 ]
 
 COLLISION_FRACTION = 1e-6
-RadialStop = Stop
+DT_MAX = 0.05  # time-step cap in units of 1/g
+CLUSTER = 0.6
+EDGE_MARGIN = 0.15
 
 
-def blended_markers(M: int, support_radius: float, cluster: float = 0.6) -> np.ndarray:
+def blended_markers(M: int, support_radius: float) -> np.ndarray:
     """Marker radii on [0, L], denser near the origin and the support edge.
 
     A sine blend with bounded density ratio: spacing is proportional to
-    1 - cluster * cos(2 pi u), so the end regions are refined by roughly
-    1/(1 - cluster) without the quadratically collapsing gaps of Chebyshev
+    1 - CLUSTER * cos(2 pi u), so the end regions are refined by roughly
+    1/(1 - CLUSTER) without the quadratically collapsing gaps of Chebyshev
     points (which the origin flow would crush to float resolution).
     """
-    if not 0.0 <= cluster < 1.0:
-        raise ValueError("cluster must lie in [0, 1)")
     u = np.linspace(0.0, 1.0, M)
-    return support_radius * (u - cluster * np.sin(2.0 * np.pi * u) / (2.0 * np.pi))
+    return support_radius * (u - CLUSTER * np.sin(2.0 * np.pi * u) / (2.0 * np.pi))
 
 
 @dataclass
@@ -59,7 +58,6 @@ class RadialState:
     labels: np.ndarray
     positions: np.ndarray
     values: np.ndarray
-    params: Params
 
     def __post_init__(self):
         if not (len(self.labels) == len(self.positions) == len(self.values)):
@@ -78,8 +76,7 @@ class RadialState:
         return float(self.positions[-1])
 
     def profile(self) -> RadialProfile:
-        return RadialProfile(self.positions, self.values, monotone=bool(
-            np.all(np.diff(self.values) >= -1e-12 * (np.ptp(self.values) + 1e-300))))
+        return RadialProfile(self.positions, self.values)
 
     def max_gradient(self) -> float:
         dv = np.diff(self.values)
@@ -90,10 +87,17 @@ class RadialState:
 @dataclass
 class RadialRunResult:
     series: DiagnosticsSeries
-    snapshots: list           # (time, RadialProfile)
-    states: list              # (time, RadialState) at snapshot times
-    stop_reason: RadialStop
-    initial_state: RadialState
+    states: list              # (time, RadialState) at t = 0, the snapshot times and the end
+    stop_reason: Stop
+
+    @property
+    def snapshots(self) -> list:
+        """(time, RadialProfile) at the times of `states`."""
+        return [(t, s.profile()) for t, s in self.states]
+
+    @property
+    def initial_state(self) -> RadialState:
+        return self.states[0][1]
 
 
 def radial_rhs(state: RadialState, params: Params) -> np.ndarray:
@@ -115,7 +119,7 @@ def step(state: RadialState, dt: float, params: Params, k1=None):
     Values are carried unchanged; the profile seen by each stage is rebuilt
     from that stage's positions.  `k1` is g * u_r at the current positions
     when the caller already has it.  Returns (new_state, None) or
-    (state, RadialStop.MARKERS_COLLIDED) when ordering is lost or a gap
+    (state, Stop.MARKERS_COLLIDED) when ordering is lost or a gap
     closes below the collision fraction of its initial size.
     """
     if not dt > 0:
@@ -133,7 +137,7 @@ def step(state: RadialState, dt: float, params: Params, k1=None):
         k1 = vel(state.positions)
     new_pos = rk4(state.positions, dt, k1, vel)
     if new_pos is None or np.any(np.diff(new_pos) <= 0.0) or _collided(new_pos, gaps0):
-        return state, RadialStop.MARKERS_COLLIDED
+        return state, Stop.MARKERS_COLLIDED
     return replace(state, time=state.time + dt, positions=new_pos), None
 
 
@@ -153,7 +157,6 @@ def run_radial(initial: RadialProfile, params: Params, *,
                gradient_factor: float = 50.0,
                markers: int = 512,
                cfl: float = 0.4,
-               dt_max: float | None = None,
                output_interval: float | None = None,
                snapshot_times=None,
                delta: float = 0.25) -> RadialRunResult:
@@ -161,16 +164,15 @@ def run_radial(initial: RadialProfile, params: Params, *,
     `gradient_factor`, or marker collision.
 
     Diagnostics (max gradient, blow-up functional, origin value, support
-    radius) are recorded at most every `output_interval`; profiles are
-    snapshotted at `snapshot_times` (plus t = 0 and the final time).
+    radius) are recorded at most every `output_interval`; states are kept at
+    `snapshot_times` (plus t = 0 and the final time).  dt never exceeds
+    DT_MAX / g.
     """
     L = initial.support_radius
     labels = blended_markers(markers, L)
     values = np.asarray(initial.value(labels), dtype=float)
-    state = RadialState(0.0, labels, labels.copy(), values, params)
+    state = RadialState(0.0, labels, labels.copy(), values)
     cfg = BlowupConfig(delta=delta, support_radius=L, params=params)
-    if dt_max is None:
-        dt_max = 0.05 / params.g
     if output_interval is None:
         output_interval = t_max / 200.0
     snapshot_times = sorted(snapshot_times or [])
@@ -185,14 +187,13 @@ def run_radial(initial: RadialProfile, params: Params, *,
                       support_radius=st.support_radius)
 
     record(state)
-    snapshots = [(0.0, state.profile())]
     states = [(0.0, state)]
     next_record = output_interval
-    stop = RadialStop.TIME_LIMIT
+    stop = Stop.TIME_LIMIT
     si = 0
     while state.time < t_max:
         v = params.g * radial_rhs(state, params)
-        dt = _adaptive_dt(state.positions, v, cfl, dt_max)
+        dt = _adaptive_dt(state.positions, v, cfl, DT_MAX / params.g)
         target = None
         if si < len(snapshot_times) and state.time + dt >= snapshot_times[si]:
             target = snapshot_times[si]
@@ -205,27 +206,22 @@ def run_radial(initial: RadialProfile, params: Params, *,
             break
         state = state2
         if target is not None:
-            snapshots.append((target, state.profile()))
             states.append((target, state))
             si += 1
         if state.time >= next_record:
             record(state)
             next_record = state.time + output_interval
         if sg0 > 0.0 and state.max_gradient() >= gradient_factor * sg0:
-            stop = RadialStop.GRADIENT_THRESHOLD
+            stop = Stop.GRADIENT_THRESHOLD
             break
     if series.times[-1] < state.time:
         record(state)
-    if not snapshots or snapshots[-1][0] < state.time:
-        snapshots.append((state.time, state.profile()))
+    if states[-1][0] < state.time:
         states.append((state.time, state))
-    return RadialRunResult(series, snapshots, states,
-                           stop, RadialState(0.0, labels, labels.copy(), values, params))
+    return RadialRunResult(series, states, stop)
 
 
-def derivative_along_flow(result: RadialRunResult, params: Params,
-                          at_time: float | None = None,
-                          edge_margin: float = 0.15) -> dict:
+def derivative_along_flow(result: RadialRunResult, at_time: float | None = None) -> dict:
     """Reconstruct the spatial derivative of the profile two independent ways.
 
     (i) centered finite differences of the snapshot profile (values against
@@ -233,8 +229,8 @@ def derivative_along_flow(result: RadialRunResult, params: Params,
     local stretch of the flow map (the amplification along trajectories).
     Both use the same nonuniform centered stencil, so at t = 0 they coincide
     exactly.  Reports the worst relative discrepancy away from the support
-    edge and the most negative derivative (monotone data must stay
-    nondecreasing).
+    edge (labels within EDGE_MARGIN * L of either end are left out) and the
+    most negative derivative (monotone data must stay nondecreasing).
     """
     times = [t for t, _ in result.states]
     if at_time is None:
@@ -247,7 +243,7 @@ def derivative_along_flow(result: RadialRunResult, params: Params,
     flow_form = d0 / stretch
     direct = np.gradient(state.values, state.positions)
     L = init.labels[-1]
-    interior = (state.labels > edge_margin * L) & (state.labels < (1.0 - edge_margin) * L)
+    interior = (state.labels > EDGE_MARGIN * L) & (state.labels < (1.0 - EDGE_MARGIN) * L)
     scale = np.abs(flow_form[interior]).max() + 1e-300
     rel = np.abs(direct[interior] - flow_form[interior]) / (np.abs(flow_form[interior]) + 1e-3 * scale)
     return {

@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -95,7 +94,6 @@ def _run_nd_mode(cfg: ExperimentConfig, outdir: str):
         rho0, params,
         t_max=cfg["stop.t_max"],
         gradient_factor=cfg["stop.gradient_factor"],
-        dt_min=cfg["stop.dt_min"],
         delta=cfg["blowup.delta"],
         support_radius=profile.support_radius,
         output_interval=cfg["output.interval"],
@@ -155,23 +153,14 @@ def _sweep_radii(a: float, support: float, per_decade: int) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
-def _map_cells(fn, cells, threads: int):
-    """fn over cells in order, on a thread pool when threads > 1."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, cells))
-    return [fn(c) for c in cells]
-
-
-def _sweep_report(reports, key, tolerance: float, path):
+def _sweep_report(reports, key, path):
     """The worst cell by `key`, counting every cell's samples; written to `path`."""
-    worst = replace(min(reports, key=key), samples=sum(r.samples for r in reports),
-                    tolerance=tolerance)
+    worst = replace(min(reports, key=key), samples=sum(r.samples for r in reports))
     report_to_json(worst, path)
     return worst
 
 
-def _run_sweep_mode(cfg: ExperimentConfig, outdir: str, threads: int = 1):
+def _run_sweep_mode(cfg: ExperimentConfig, outdir: str):
     n = cfg["params.n"]
     g = cfg["params.g"]
     a_values = cfg["sweep.a_values"]
@@ -179,26 +168,20 @@ def _run_sweep_mode(cfg: ExperimentConfig, outdir: str, threads: int = 1):
     fams = shipped_families(spline_seeds=tuple(cfg["sweep.spline_seeds"]))
     for fam in fams:
         fam.validate()
-
-    def pointwise_cell(args):
-        fam, a = args
-        f = fam.sample()
-        radii = _sweep_radii(a, f.support_radius, cfg["sweep.radii_per_decade"])
-        return certify_pointwise(f, Params(n, a, g), radii)
+    profiles = [fam.sample() for fam in fams]
 
     p_path = os.path.join(outdir, "certificate_pointwise.json")
-    cells = [(fam, a) for fam in fams for a in a_values]
-    agg_p = _sweep_report(_map_cells(pointwise_cell, cells, threads),
-                          lambda r: r.min_slack, 1e-8, p_path)
-
-    def bilinear_cell(args):
-        fam, a, d = args
-        return certify_bilinear(fam.sample(), Params(n, a, g), d)
+    agg_p = _sweep_report(
+        [certify_pointwise(f, Params(n, a, g),
+                           _sweep_radii(a, f.support_radius, cfg["sweep.radii_per_decade"]))
+         for f in profiles for a in a_values],
+        lambda r: r.min_slack, p_path)
 
     b_path = os.path.join(outdir, "certificate_bilinear.json")
-    cells = [(fam, a, d) for fam in fams for a in a_values for d in delta_values]
-    agg_b = _sweep_report(_map_cells(bilinear_cell, cells, threads),
-                          lambda r: r.min_ratio, 1e-6, b_path)
+    agg_b = _sweep_report(
+        [certify_bilinear(f, Params(n, a, g), d)
+         for f in profiles for a in a_values for d in delta_values],
+        lambda r: r.min_ratio, b_path)
     ok = agg_p.passed and agg_b.passed
     return ("clean" if ok else "certificate_failed"), [p_path, b_path], {
         "pointwise_pass": agg_p.passed, "bilinear_pass": agg_b.passed}
@@ -218,7 +201,7 @@ def _run_limit_mode(cfg: ExperimentConfig, outdir: str):
     }
 
 
-def run(cfg: ExperimentConfig, threads: int = 1) -> int:
+def run(cfg: ExperimentConfig) -> int:
     """Execute a validated config; returns the process exit code."""
     outdir = _outdir(cfg)
     t0 = time.time()
@@ -227,7 +210,7 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> int:
     elif cfg.mode == "radial_run":
         stop, files, extra = _run_radial_mode(cfg, outdir)
     elif cfg.mode == "inequality_sweep":
-        stop, files, extra = _run_sweep_mode(cfg, outdir, threads=threads)
+        stop, files, extra = _run_sweep_mode(cfg, outdir)
     elif cfg.mode == "limit_report":
         stop, files, extra = _run_limit_mode(cfg, outdir)
     else:  # pragma: no cover - parse_config rejects unknown modes

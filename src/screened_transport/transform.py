@@ -171,9 +171,12 @@ def _sphere_quadrature(n: int, n_polar: int):
     return dirs, wts
 
 
+# Gauss points per radial panel of the direct quadrature
+_DIRECT_N_GL = 16
+
+
 def screened_riesz_direct(f: ScalarField, params: Params, targets,
-                          support_radius: float | None = None,
-                          n_gl: int = 16) -> np.ndarray:
+                          support_radius: float | None = None) -> np.ndarray:
     """Free-space principal-value quadrature of the transform at given points.
 
     The integral is taken in polar coordinates around each target; the odd
@@ -197,7 +200,7 @@ def screened_riesz_direct(f: ScalarField, params: Params, targets,
     cn = special.gamma(0.5 * (n + 1)) / np.pi ** (0.5 * (n + 1))
     a = params.a
     h = g.spacing
-    xg, wg = np.polynomial.legendre.leggauss(n_gl)
+    xg, wg = np.polynomial.legendre.leggauss(_DIRECT_N_GL)
     out = np.zeros((len(targets), n))
     for it, x0 in enumerate(targets):
         rmax = support_radius + float(np.linalg.norm(x0)) + 2.0 * h

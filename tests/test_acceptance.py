@@ -34,8 +34,7 @@ from screened_transport import (
     structural_checks,
     young_split,
     NdState,
-    NdStop,
-    RadialStop,
+    Stop,
 )
 from screened_transport.inequalities import certify_bilinear, certify_pointwise, shipped_families
 from screened_transport.ndsolver import _Workspace, rhs, step_rk4
@@ -225,7 +224,7 @@ def test_criterion_5_blowup_scenario(collapse_run, collapse_window):
     d = DEFAULT
     res = collapse_run
     cfg = BlowupConfig(d["delta"], d["L"], Params(2, d["a"], d["g"]))
-    reached = res.stop_reason is NdStop.GRADIENT_THRESHOLD
+    reached = res.stop_reason is Stop.GRADIENT_THRESHOLD
     sg = res.series.column("sup_grad")
     growth = float(sg.max() / sg[0])
 
@@ -311,7 +310,7 @@ def test_criterion_6_monotonicity(structure_report):
 
 
 def test_criterion_7_cross_solver(collapse_run, collapse_window, radial_companion):
-    assert radial_companion.stop_reason in (RadialStop.TIME_LIMIT,), \
+    assert radial_companion.stop_reason in (Stop.TIME_LIMIT,), \
         f"radial solver stopped early: {radial_companion.stop_reason}"
     d = DEFAULT
     grid = collapse_run.grid

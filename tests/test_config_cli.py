@@ -1,11 +1,16 @@
 import json
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
 
-from screened_transport import CertificateReport, ConfigError, parse_config, runner
+from screened_transport import CertificateReport, ConfigError, cli, parse_config, runner
 from screened_transport.cli import main
 from screened_transport.runner import EXIT_CODES, run
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 ND_MINIMAL = """
@@ -160,13 +165,15 @@ class TestCli:
         assert main(["run", str(path)]) == 0
         assert (tmp_path / "out" / "manifest.json").exists()
 
-    def test_sweep_requires_sweep_mode(self, tmp_path, capsys):
-        path = tmp_path / "c.ini"
-        path.write_text(ND_MINIMAL)
-        assert main(["sweep", str(path)]) == EXIT_CODES["config_error"]
-
     def test_missing_file_is_io_error(self, capsys):
         assert main(["run", "/nonexistent/config.ini"]) == 1
+
+    def test_unknown_option_is_usage_error(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(ND_MINIMAL)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(path), "--threads", "4"])
+        assert exc.value.code == EXIT_CODES["config_error"]
 
     def test_gradient_threshold_exit_code(self, tmp_path):
         # a collapse run that trips the gradient stop maps to exit code 10
@@ -221,15 +228,6 @@ class TestSweepMode:
         manifest = json.loads((tmp_path / "sw" / "manifest.json").read_text())
         assert manifest["pointwise_pass"] is True and manifest["bilinear_pass"] is False
 
-    def test_sweep_parallel_matches_sequential(self, tmp_path):
-        c1 = parse_config(SWEEP_TINY.format(out=tmp_path / "seq"))
-        c2 = parse_config(SWEEP_TINY.format(out=tmp_path / "par"))
-        run(c1, threads=1)
-        run(c2, threads=2)
-        a = json.loads((tmp_path / "seq" / "certificate_bilinear.json").read_text())
-        b = json.loads((tmp_path / "par" / "certificate_bilinear.json").read_text())
-        assert a["min_ratio"] == b["min_ratio"]
-
 
 ND_SMALL = """
 [experiment]
@@ -270,3 +268,27 @@ class TestNdMode:
         assert header.split(",")[:4] == ["t", "dt", "sup_grad", "l2"]
         for col in ("i_delta", "bkm_partial", "origin_value", "support_mass_out"):
             assert col in header
+
+
+def _readme_commands():
+    readme = (REPO / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("screened-transport ")]
+
+
+class TestReadmeCommandLine:
+    def test_every_documented_command_parses(self, monkeypatch, capsys):
+        # each command line loads and validates its config before `run`
+        commands = _readme_commands()
+        monkeypatch.chdir(REPO)
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: 0)
+        for argv in commands:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+            assert code == 0, argv
+        shipped = {f"configs/{p.name}" for p in (REPO / "configs").glob("*.ini")}
+        assert len(shipped) == 4
+        assert shipped <= {argv[-1] for argv in commands}

@@ -4,7 +4,7 @@ import scipy.fft as sfft
 
 from screened_transport import (
     NdState,
-    NdStop,
+    Stop,
     Params,
     ScalarField,
     adaptive_dt,
@@ -126,7 +126,7 @@ class TestStepRk4:
         vals[0, 0] = np.inf
         state = NdState(0.0, ScalarField(grid96, vals), P2)
         _, fail = step_rk4(state, 0.01)
-        assert fail is NdStop.NONFINITE
+        assert fail is Stop.NONFINITE
 
     def test_richardson_order_is_four(self, grid96):
         # measured convergence order of one-step errors in [3.7, 4.3]
@@ -197,7 +197,7 @@ class TestRunNd:
     def test_zero_data_flat_diagnostics(self, grid96):
         rho0 = ScalarField(grid96, np.zeros(grid96.shape))
         res = run_nd(rho0, P2, t_max=0.1, output_interval=0.02, support_radius=1.0)
-        assert res.stop_reason is NdStop.TIME_LIMIT
+        assert res.stop_reason is Stop.TIME_LIMIT
         assert np.allclose(res.series.column("sup_grad"), 0.0)
         assert np.allclose(res.series.column("l2"), 0.0)
         assert np.allclose(res.series.column("i_delta"), 0.0)
@@ -252,7 +252,7 @@ class TestRunNd:
         rho0 = sample_radial(bump_profile(2.0, 1.0, 4.0), grid)
         with pytest.warns(UserWarning, match="spectral tail"):
             res = run_nd(rho0, P2, t_max=0.37, output_interval=0.15)
-        assert res.stop_reason is NdStop.TIME_LIMIT
+        assert res.stop_reason is Stop.TIME_LIMIT
         assert res.series.t == pytest.approx([0.0, 0.15, 0.35, 0.37])
         assert res.series.column("dt") == pytest.approx([0.0, 0.05, 0.05, 0.02])
 

@@ -4,7 +4,7 @@ import pytest
 from screened_transport import (
     Params,
     RadialProfile,
-    RadialStop,
+    Stop,
     bump_profile,
     derivative_along_flow,
     radial_rhs,
@@ -21,7 +21,7 @@ P2 = Params(2, 1.0, 1.0)
 def make_state(profile, M=64):
     labels = blended_markers(M, profile.support_radius)
     values = np.asarray(profile.value(labels), dtype=float)
-    return RadialState(0.0, labels, labels.copy(), values, P2)
+    return RadialState(0.0, labels, labels.copy(), values)
 
 
 class TestMarkers:
@@ -31,7 +31,7 @@ class TestMarkers:
         assert np.all(np.diff(m) > 0.0)
 
     def test_clustering_refines_ends(self):
-        m = blended_markers(256, 1.0, cluster=0.6)
+        m = blended_markers(256, 1.0)
         gaps = np.diff(m)
         assert gaps[0] < 0.5 * gaps.max()
         assert gaps[-1] < 0.5 * gaps.max()
@@ -42,7 +42,7 @@ class TestMarkers:
 class TestRadialRhs:
     def test_constant_profile_is_still(self):
         prof = RadialProfile(np.linspace(0, 1, 33), np.full(33, -0.7))
-        state = RadialState(0.0, prof.nodes, prof.nodes.copy(), prof.values.copy(), P2)
+        state = RadialState(0.0, prof.nodes, prof.nodes.copy(), prof.values.copy())
         v = radial_rhs(state, P2)
         assert np.allclose(v, 0.0, atol=1e-13)
 
@@ -63,7 +63,7 @@ class TestRadialRhs:
 class TestStep:
     def test_constant_profile_fixed_point(self):
         prof = RadialProfile(np.linspace(0, 1, 17), np.full(17, -0.4))
-        state = RadialState(0.0, prof.nodes, prof.nodes.copy(), prof.values.copy(), P2)
+        state = RadialState(0.0, prof.nodes, prof.nodes.copy(), prof.values.copy())
         new, fail = step(state, 0.1, P2)
         assert fail is None
         assert np.allclose(new.positions, state.positions, atol=1e-14)
@@ -90,8 +90,7 @@ class TestStep:
         def return_error(dt):
             fwd, fail = step(state, dt, P2)
             assert fail is None
-            flipped = RadialState(0.0, fwd.labels, fwd.positions.copy(),
-                                  -fwd.values, P2)
+            flipped = RadialState(0.0, fwd.labels, fwd.positions.copy(), -fwd.values)
             back, fail = step(flipped, dt, P2)
             assert fail is None
             return np.max(np.abs(back.positions - state.positions))
@@ -114,7 +113,7 @@ class TestRunRadial:
     def test_zero_data_runs_to_time_limit(self):
         prof = RadialProfile(np.linspace(0, 1, 9), np.zeros(9))
         res = run_radial(prof, P2, t_max=0.2, markers=32, output_interval=0.05)
-        assert res.stop_reason is RadialStop.TIME_LIMIT
+        assert res.stop_reason is Stop.TIME_LIMIT
         assert np.allclose(res.series.column("sup_grad"), 0.0)
         assert np.allclose(res.series.column("i_delta"), 0.0)
 
@@ -124,7 +123,7 @@ class TestRunRadial:
         prof = bump_profile(1.0, 1.0, 4.0)
         res = run_radial(prof, P2, t_max=5.0, gradient_factor=10.0,
                          markers=160, output_interval=0.02)
-        assert res.stop_reason is RadialStop.GRADIENT_THRESHOLD
+        assert res.stop_reason is Stop.GRADIENT_THRESHOLD
         sg = res.series.column("sup_grad")
         assert sg[-1] >= 10.0 * sg[0]
         assert np.all(np.diff(sg) >= -1e-9 * sg.max())
@@ -173,8 +172,7 @@ class TestRunRadial:
         # identically (quadratic nonlinearity)
         lam = 2.0
         base = make_state(bump_profile(1.0, 1.0, 2.0), M=48)
-        scaled = RadialState(0.0, base.labels, base.positions.copy(),
-                             lam * base.values, P2)
+        scaled = RadialState(0.0, base.labels, base.positions.copy(), lam * base.values)
         dt = 0.02
         s1, _ = step(base, dt, P2)
         s2, _ = step(scaled, dt / lam, P2)
@@ -190,11 +188,11 @@ def short_run():
 
 class TestDerivativeAlongFlow:
     def test_time_zero_reconstructions_coincide(self, short_run):
-        rep = derivative_along_flow(short_run, P2, at_time=0.0)
+        rep = derivative_along_flow(short_run, at_time=0.0)
         assert rep["max_relative_discrepancy"] <= 1e-13
 
     def test_early_time_reconstructions_agree(self, short_run):
-        rep = derivative_along_flow(short_run, P2, at_time=0.2)
+        rep = derivative_along_flow(short_run, at_time=0.2)
         assert rep["time"] == pytest.approx(0.2, abs=1e-9)
         assert rep["max_relative_discrepancy"] < 1e-3
         assert rep["min_derivative"] > -1e-8
@@ -202,5 +200,5 @@ class TestDerivativeAlongFlow:
     def test_constant_data_gives_zero(self):
         prof = RadialProfile(np.linspace(0, 1, 17), np.full(17, -0.3))
         res = run_radial(prof, P2, t_max=0.1, markers=32, output_interval=0.05)
-        rep = derivative_along_flow(res, P2)
+        rep = derivative_along_flow(res)
         assert abs(rep["min_derivative"]) <= 1e-12
