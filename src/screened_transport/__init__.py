@@ -30,8 +30,6 @@ from .fields import (
     sobolev_norm,
 )
 from .transform import (
-    KernelKind,
-    KernelSpec,
     LimitReport,
     conjugate_poisson,
     limit_report,

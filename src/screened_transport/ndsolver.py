@@ -13,6 +13,9 @@ right-hand side costs n + n inverse and one forward real FFT, and a step
 adds one inverse FFT for the new samples (21 real FFTs per step in 2-D).
 The right-hand side vanishes outside the 2/3 band, so the modes there keep
 their initial values exactly.
+
+`run_nd` drives `rk4.time_loop`.  It tests the gradient threshold only on
+recorded rows, because the max gradient costs two FFTs.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import scipy.fft as sfft
 
 from .blowup import BlowupConfig, DiagnosticsSeries, blowup_functional
 from .fields import Grid, Params, ScalarField, max_gradient, sobolev_norm
-from .rk4 import Stop, rk4
+from .rk4 import DT_MIN, Stop, rk4, time_loop
 
 __all__ = [
     "NdState",
@@ -37,7 +40,7 @@ __all__ = [
     "bkm_partial_integral",
 ]
 
-DT_MIN, DT_MAX = 1e-8, 0.05
+DT_MAX = 0.05
 RESOLVED_TAIL = 1e-10
 
 
@@ -135,8 +138,9 @@ def run_nd(rho0: ScalarField, params: Params, *,
            output_interval: float | None = None,
            snapshot_interval: float | None = None,
            snapshot_times=None) -> NdRunResult:
-    """Integrate until t_max, gradient growth past `gradient_factor`, a dt
-    underflow (below DT_MIN), or a nonfinite state; dt never exceeds DT_MAX.
+    """Integrate until t_max, gradient growth past `gradient_factor` (tested
+    at output times), a dt underflow (below `rk4.DT_MIN`), or a nonfinite
+    state; dt never exceeds DT_MAX.
 
     Records max gradient, L2 and H^3 norms, the blow-up functional, the
     running gradient time integral, the origin value, and the mass fraction
@@ -157,24 +161,24 @@ def run_nd(rho0: ScalarField, params: Params, *,
     ws = _Workspace(grid, params)
     if output_interval is None:
         output_interval = t_max / 400.0
-    snapshot_times = sorted(snapshot_times or [])
-    state = NdState(0.0, rho0, params)
     sg0 = max_gradient(rho0)
+    cap = gradient_factor * sg0 if sg0 > 0.0 else np.inf
     out_mask = grid.radius >= support_radius
     origin = grid.origin_index
-
-    series = DiagnosticsSeries(["dt", "sup_grad", "l2", "hs_3", "i_delta", "bkm_partial",
-                                "origin_value", "support_mass_out"])
     bkm = 0.0
     last = {"t": 0.0, "sg": sg0}
 
-    def record(st, dt_now):
+    def first(st):
+        k1, umax = ws.advection(st.rho.half_spectrum)
+        return k1, _cfl_dt(cfl, grid.spacing, params.g * umax, DT_MAX)
+
+    def row(st, dt_now):
         nonlocal bkm
         sg = max_gradient(st.rho)
         bkm += 0.5 * (sg + last["sg"]) * (st.time - last["t"])
         last["t"], last["sg"] = st.time, sg
         vals = st.rho.values
-        row = {
+        return {
             "dt": dt_now,
             "sup_grad": sg,
             "l2": st.rho.l2_norm(),
@@ -185,51 +189,14 @@ def run_nd(rho0: ScalarField, params: Params, *,
             "support_mass_out": float(np.abs(vals[out_mask]).sum()
                                       / max(np.abs(vals).sum(), 1e-300)),
         }
-        series.append(st.time if st.time > 0 else 0.0, **row)
-        return sg
 
-    record(state, 0.0)
-    snapshots = [(0.0, rho0)]
-    stop = Stop.TIME_LIMIT
-    threshold_time = None
-    next_record = output_interval
-    next_snap = snapshot_interval if snapshot_interval else None
-    si = 0
-    dt_taken = 0.0
-    while state.time < t_max:
-        k1, umax = ws.advection(state.rho.half_spectrum)
-        dt = _cfl_dt(cfl, grid.spacing, params.g * umax, DT_MAX)
-        if dt <= DT_MIN * (1.0 + 1e-12):
-            stop = Stop.DT_UNDERFLOW
-            break
-        target = None
-        if si < len(snapshot_times) and state.time + dt >= snapshot_times[si]:
-            target = snapshot_times[si]
-            dt = max(target - state.time, 1e-13)
-        elif state.time + dt > t_max:
-            dt = t_max - state.time + 1e-13
-        state2, fail = step_rk4(state, dt, ws, k1)
-        if fail is not None:
-            stop = fail
-            break
-        state, dt_taken = state2, dt
-        if target is not None:
-            snapshots.append((target, state.rho))
-            si += 1
-        elif next_snap is not None and state.time >= next_snap:
-            snapshots.append((state.time, state.rho))
-            next_snap = state.time + snapshot_interval
-        if state.time >= next_record:
-            sg = record(state, dt)
-            next_record = state.time + output_interval
-            if sg0 > 0.0 and sg >= gradient_factor * sg0:
-                threshold_time = state.time
-                stop = Stop.GRADIENT_THRESHOLD
-                break
-    if series.times[-1] < state.time:
-        record(state, dt_taken)
-    if snapshots[-1][0] < state.time:
-        snapshots.append((state.time, state.rho))
+    series, states, stop = time_loop(
+        NdState(0.0, rho0, params), t_max, first,
+        lambda st, dt, k1: step_rk4(st, dt, ws, k1), row,
+        lambda st, rec: rec is not None and rec["sup_grad"] >= cap,
+        output_interval, snapshot_times, snapshot_interval)
+    snapshots = [(t, st.rho) for t, st in states]
+    threshold_time = states[-1][1].time if stop is Stop.GRADIENT_THRESHOLD else None
     return NdRunResult(series, snapshots, stop, rho0, threshold_time, grid)
 
 

@@ -8,6 +8,9 @@ where u_r is the radial velocity of the current profile.  Markers carry the
 initial values forever; the profile at any time is the monotone interpolant
 through (position, value).  Marker collision (a gap collapsing to a set
 fraction of its initial size) is the discrete signature of gradient blow-up.
+
+`run_radial` drives `rk4.time_loop` and tests the gradient threshold after
+every step.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .blowup import BlowupConfig, DiagnosticsSeries, blowup_functional
 from .fields import Params, RadialProfile
-from .rk4 import Stop, rk4
+from .rk4 import Stop, rk4, time_loop
 from .transform import radial_velocity
 
 __all__ = [
@@ -161,7 +164,8 @@ def run_radial(initial: RadialProfile, params: Params, *,
                snapshot_times=None,
                delta: float = 0.25) -> RadialRunResult:
     """Integrate the reduced equation until t_max, gradient growth beyond
-    `gradient_factor`, or marker collision.
+    `gradient_factor` (tested after every step), marker collision, or a dt
+    underflow (below `rk4.DT_MIN`).
 
     Diagnostics (max gradient, blow-up functional, origin value, support
     radius) are recorded at most every `output_interval`; states are kept at
@@ -175,49 +179,22 @@ def run_radial(initial: RadialProfile, params: Params, *,
     cfg = BlowupConfig(delta=delta, support_radius=L, params=params)
     if output_interval is None:
         output_interval = t_max / 200.0
-    snapshot_times = sorted(snapshot_times or [])
-
-    series = DiagnosticsSeries(["sup_grad", "i_delta", "origin_value", "support_radius"])
     sg0 = state.max_gradient()
+    cap = gradient_factor * sg0 if sg0 > 0.0 else np.inf
 
-    def record(st):
-        series.append(st.time, sup_grad=st.max_gradient(),
-                      i_delta=blowup_functional(st.profile(), cfg),
-                      origin_value=st.origin_value,
-                      support_radius=st.support_radius)
+    def first(st):
+        v = params.g * radial_rhs(st, params)
+        return v, _adaptive_dt(st.positions, v, cfl, DT_MAX / params.g)
 
-    record(state)
-    states = [(0.0, state)]
-    next_record = output_interval
-    stop = Stop.TIME_LIMIT
-    si = 0
-    while state.time < t_max:
-        v = params.g * radial_rhs(state, params)
-        dt = _adaptive_dt(state.positions, v, cfl, DT_MAX / params.g)
-        target = None
-        if si < len(snapshot_times) and state.time + dt >= snapshot_times[si]:
-            target = snapshot_times[si]
-            dt = max(target - state.time, 1e-13)
-        elif state.time + dt > t_max:
-            dt = t_max - state.time + 1e-13
-        state2, fail = step(state, dt, params, v)
-        if fail is not None:
-            stop = fail
-            break
-        state = state2
-        if target is not None:
-            states.append((target, state))
-            si += 1
-        if state.time >= next_record:
-            record(state)
-            next_record = state.time + output_interval
-        if sg0 > 0.0 and state.max_gradient() >= gradient_factor * sg0:
-            stop = Stop.GRADIENT_THRESHOLD
-            break
-    if series.times[-1] < state.time:
-        record(state)
-    if states[-1][0] < state.time:
-        states.append((state.time, state))
+    def row(st, dt_now):
+        return {"sup_grad": st.max_gradient(),
+                "i_delta": blowup_functional(st.profile(), cfg),
+                "origin_value": st.origin_value,
+                "support_radius": st.support_radius}
+
+    series, states, stop = time_loop(
+        state, t_max, first, lambda st, dt, k1: step(st, dt, params, k1), row,
+        lambda st, rec: st.max_gradient() >= cap, output_interval, snapshot_times)
     return RadialRunResult(series, states, stop)
 
 

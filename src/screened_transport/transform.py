@@ -21,7 +21,6 @@ agreement bounds the periodization gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 import scipy.fft as sfft
@@ -33,8 +32,6 @@ from .fields import Params, ScalarField, VectorField
 from .kernels import gauss_panels, psi
 
 __all__ = [
-    "KernelKind",
-    "KernelSpec",
     "LimitReport",
     "screened_riesz",
     "screened_riesz_direct",
@@ -45,39 +42,6 @@ __all__ = [
     "limit_report",
     "limit_report_to_csv",
 ]
-
-
-class KernelKind(Enum):
-    SCREENED = "screened_riesz"
-    RIESZ = "riesz"
-    CONJUGATE_POISSON = "conjugate_poisson"
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Which convolution kernel, with its parameters."""
-
-    kind: KernelKind
-    params: Params
-
-    def __post_init__(self):
-        if self.kind in (KernelKind.SCREENED, KernelKind.CONJUGATE_POISSON) and not self.params.a > 0:
-            raise ValueError(f"{self.kind.value} requires a > 0")
-
-    def pointwise(self, x: np.ndarray) -> np.ndarray:
-        """Kernel values at points x (shape (..., n)); vector valued."""
-        x = np.asarray(x, dtype=float)
-        n = self.params.n
-        a = self.params.a
-        cn = special.gamma(0.5 * (n + 1)) / np.pi ** (0.5 * (n + 1))
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        riesz_part = x / r ** (n + 1)
-        poisson_part = x / (r ** 2 + a ** 2) ** (0.5 * (n + 1))
-        if self.kind is KernelKind.SCREENED:
-            return cn * (riesz_part - poisson_part)
-        if self.kind is KernelKind.RIESZ:
-            return cn * riesz_part
-        return cn * poisson_part
 
 
 def _apply_directional(f: ScalarField, radial_multiplier) -> VectorField:

@@ -342,3 +342,7 @@ class TestParams:
             Params(2, 0.0, 1.0)
         with pytest.raises(ValueError):
             Params(2, 1.0, -1.0)
+
+    def test_requires_positive_screening(self):
+        with pytest.raises(ValueError):
+            Params(2, -1.0, 1.0)

@@ -160,6 +160,14 @@ class TestRunRadial:
         with pytest.raises(ValueError, match="cfl"):
             run_radial(bump_profile(1.0, 1.0, 4.0), P2, t_max=0.1, markers=16, cfl=cfl)
 
+    @pytest.mark.parametrize("times", [[0.05, 0.05], [0.0, 0.05]])
+    def test_rejects_repeated_or_nonpositive_snapshot_times(self, times):
+        # a repeated time used to add a 1e-13 step and a second state
+        # labelled 0.05; a time of 0 gave a state at t = 1e-13 labelled 0
+        with pytest.raises(ValueError, match="snapshot times"):
+            run_radial(bump_profile(1.0, 1.0, 4.0), P2, t_max=0.1, markers=16,
+                       snapshot_times=times)
+
     def test_doubling_gravity_halves_threshold_time(self):
         prof = bump_profile(1.0, 1.0, 4.0)
         kw = dict(t_max=6.0, gradient_factor=4.0, markers=96, output_interval=0.01)

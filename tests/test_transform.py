@@ -5,8 +5,6 @@ import pytest
 from scipy import integrate
 
 from screened_transport import (
-    KernelKind,
-    KernelSpec,
     Params,
     ScalarField,
     bump_profile,
@@ -317,28 +315,6 @@ class TestRadialVelocity:
         p = Params(2, 1.0, 1.0)
         with pytest.raises(ValueError):
             radial_velocity(bump_profile(1.0, 1.0, 1.0), p, np.array([-0.5]))
-
-
-class TestKernelSpec:
-    def test_requires_positive_screening(self):
-        with pytest.raises(ValueError):
-            Params(2, -1.0, 1.0)
-
-    def test_pointwise_difference_structure(self):
-        p = Params(2, 1.0, 1.0)
-        x = np.array([[0.3, 0.4]])
-        k_s = KernelSpec(KernelKind.SCREENED, p).pointwise(x)
-        k_r = KernelSpec(KernelKind.RIESZ, p).pointwise(x)
-        k_q = KernelSpec(KernelKind.CONJUGATE_POISSON, p).pointwise(x)
-        assert np.allclose(k_s, k_r - k_q, rtol=1e-14)
-
-    def test_kernel_decays_like_inverse_power(self):
-        # the screened kernel falls off two powers faster than its parts
-        p = Params(2, 1.0, 1.0)
-        spec = KernelSpec(KernelKind.SCREENED, p)
-        r1 = np.linalg.norm(spec.pointwise(np.array([[8.0, 0.0]])))
-        r2 = np.linalg.norm(spec.pointwise(np.array([[16.0, 0.0]])))
-        assert r1 / r2 == pytest.approx(2.0 ** 4, rel=0.1)
 
 
 class TestLimitReport:
