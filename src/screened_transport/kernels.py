@@ -22,13 +22,17 @@ from scipy import special
 
 __all__ = ["psi", "psi_quadrature", "screening_weight", "bilinear_constant", "gauss_panels"]
 
-# cached: building a rule costs ~0.2 ms and gauss_panels runs once per
-# radial-velocity target
+# cached: building a rule costs ~0.2 ms, and psi_quadrature and every
+# gauss_panels call (certification and blow-up functional integrals) ask
+# again for the same few rules
 _leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
 # relative size of c below which the difference of the two closed forms
 # loses precision and the cancellation-free quadrature path is used instead
 _SMALL_C = 1e-5
+
+# elements per vectorized step of psi_quadrature
+_QUAD_CHUNK = 64
 
 
 def _j2(p, q, pm):
@@ -74,32 +78,34 @@ def psi_quadrature(n: int, q, c):
     """Psi_n by graded Gauss-Legendre panels in mu, cancellation-free bracket.
 
     Works for any n >= 2 and any c >= 0; used as the generic fallback and as
-    an independent oracle for the closed forms.
+    an independent oracle for the closed forms.  The 32-point panels start
+    at width min(|1 - q|, pi/8) (at least 1e-9) and double up to pi; the
+    elements are evaluated together, _QUAD_CHUNK at a time, grouped by
+    their number of panels, and each element's value depends only on its
+    own q and c.
     """
     q = np.asarray(q, dtype=float)
     c = np.broadcast_to(np.asarray(c, dtype=float), q.shape)
     e = 0.5 * (n + 1)
-    out = np.empty_like(q)
+    qf, cf = q.ravel(), c.ravel()
+    first = np.minimum(np.maximum(np.abs(1.0 - qf), 1e-9), np.pi / 8.0)
+    # panels: [0, first], then doublings while below pi, then up to pi
+    panels = np.ceil(np.log2(np.pi / first)).astype(int) + 1
     xg, wg = _leggauss(32)
-    for idx in np.ndindex(q.shape):
-        qi, ci = q[idx], c[idx]
-        d = max(abs(1.0 - qi), 1e-9)
-        brk = [0.0]
-        w = min(d, np.pi / 8.0)
-        while w < np.pi:
-            brk.append(w)
-            w *= 2.0
-        brk.append(np.pi)
-        brk = np.unique(np.clip(np.asarray(brk), 0.0, np.pi))
-        tot = 0.0
-        for lo, hi in zip(brk[:-1], brk[1:]):
-            mu = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
-            wt = 0.5 * (hi - lo) * wg
+    out = np.empty(qf.shape)
+    for m in np.unique(panels):
+        grow = 2.0 ** np.arange(m - 1)
+        of_m = np.flatnonzero(panels == m)
+        for idx in np.array_split(of_m, -(-len(of_m) // _QUAD_CHUNK)):
+            brk = np.concatenate([np.zeros((len(idx), 1)), first[idx, None] * grow,
+                                  np.full((len(idx), 1), np.pi)], axis=1)
+            half = 0.5 * np.diff(brk, axis=1)[..., None]
+            mu = half * xg + 0.5 * (brk[:, 1:] + brk[:, :-1])[..., None]
+            qi, ci = qf[idx, None, None], cf[idx, None, None]
             A = (1.0 - qi) ** 2 + 4.0 * qi * np.sin(0.5 * mu) ** 2
             bracket = A ** -e * (-np.expm1(-e * np.log1p(ci / A)))
-            tot += float(np.sum(wt * np.sin(mu) ** n * bracket))
-        out[idx] = tot
-    return out
+            out[idx] = np.sum(np.sum(half * wg * np.sin(mu) ** n * bracket, axis=2), axis=1)
+    return out.reshape(q.shape)
 
 
 def psi(n: int, q, c):

@@ -21,6 +21,7 @@ agreement bounds the periodization gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft as sfft
@@ -29,7 +30,7 @@ from scipy.interpolate import RectBivariateSpline
 from scipy.ndimage import map_coordinates
 
 from .fields import Params, ScalarField, VectorField
-from .kernels import gauss_panels, psi
+from .kernels import psi
 
 __all__ = [
     "LimitReport",
@@ -200,24 +201,76 @@ def screened_riesz_direct(f: ScalarField, params: Params, targets,
 # exact radial reduction
 # ---------------------------------------------------------------------------
 
-def _radial_quadrature_nodes(r: float, support: float, background: int, depth: int):
-    """Panel breakpoints on [0, support]: uniform background plus geometric
-    grading toward min(r, support), where the angular integral peaks."""
-    s_star = min(r, support)
-    g = s_star * 0.5 ** np.arange(1, depth)
+# the one radial rule: uniform background panels and their Gauss points,
+# halvings of the grading toward min(r, L), the fewest and most Gauss points
+# on a narrower panel, and the digits its Gauss rule aims for
+_BACKGROUND, _N_BACKGROUND, _DEPTH, _N_MIN, _N_NARROW, _DIGITS = 16, 16, 36, 4, 10, 16
+# a panel this many times narrower than a background panel (a marker
+# interval, say) takes one point fewer; on 96- to 512-marker profiles the
+# error stays below 3e-13
+_SLIVER = 8
+# Psi_n points per psi call: targets are evaluated in blocks of about this size
+_BLOCK = 4096
+
+
+@lru_cache(maxsize=None)
+def _gauss_table():
+    """Gauss-Legendre nodes and weights of 1.._N_BACKGROUND points laid end
+    to end, and the index where the k-point rule starts."""
+    rules = [np.polynomial.legendre.leggauss(k) for k in range(1, _N_BACKGROUND + 1)]
+    k = np.arange(_N_BACKGROUND + 1)
+    return (np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules]),
+            k * (k - 1) // 2)
+
+
+def _radial_panels(x: np.ndarray, support: float, inner: np.ndarray):
+    """The panels of the radial rule at the targets x > 0, in target order:
+    the target each panel belongs to, its left end, its width and its number
+    of Gauss points.
+
+    A target's breakpoints are the union of a uniform background, the
+    profile's inner breakpoints, and points at distances s 2^k from
+    s = min(x, support): toward s from both sides down to s 2^-_DEPTH (Psi_n
+    has its log singularity at rho = x), and outward.  When x >= support the
+    grading stops at the distance x - support.  Background-width panels get
+    _N_BACKGROUND points.  A narrower panel at distance d from x, of width
+    w, gets the fewest points (_N_MIN, one fewer on slivers, to _N_NARROW)
+    whose Gauss rule converges to _DIGITS digits at the rate
+    exp(-2 arccosh(1 + 2 d / w)) per point that the singularity allows.
+    """
+    s = np.minimum(x, support)[:, None]
+    octaves = int(np.ceil(np.log2(support / x.min()))) + 1 if x.min() < support else 0
+    toward = s * 2.0 ** -np.arange(1, _DEPTH + 1)
+    beyond = x[:, None] >= support
     brk = np.concatenate([
-        np.linspace(0.0, support, background + 1),
-        [s_star],
-        s_star - g[s_star - g > 0.0],
-        s_star + g[s_star + g < support],
-    ])
-    brk = np.unique(brk)
-    keep = np.concatenate([[True], np.diff(brk) > 1e-12 * max(support, 1.0)])
-    return brk[keep]
+        np.broadcast_to(np.linspace(0.0, support, _BACKGROUND + 1), (len(x), _BACKGROUND + 1)),
+        np.broadcast_to(inner, (len(x), len(inner))),
+        s,
+        np.where(beyond & (toward < 0.5 * (x[:, None] - support)), support, s - toward),
+        np.where(beyond, support, s + s * 2.0 ** np.arange(-_DEPTH, octaves)),
+    ], axis=1)
+    # nothing but s itself within the finest grading width of s
+    near = (np.abs(brk - s) < s * 2.0 ** -_DEPTH) & (brk != s)
+    brk = np.sort(np.where(near | (brk > support), support, brk), axis=1)
+    w = np.diff(brk, axis=1)
+    keep = w > 0.0
+    owner = np.broadcast_to(np.arange(len(x))[:, None], w.shape)[keep]
+    lo, w = brk[:, :-1][keep], w[keep]
+    xo = x[owner]
+    with np.errstate(divide="ignore"):
+        per_point = np.arccosh(1.0 + 2.0 * np.maximum(lo - xo, xo - lo - w) / w)
+        fewest = np.where(w * _SLIVER * _BACKGROUND <= support, _N_MIN - 1, _N_MIN)
+        count = np.clip(np.ceil(_DIGITS * np.log(10.0) / (2.0 * per_point)), fewest, _N_NARROW)
+    count[w >= 0.5 * support / _BACKGROUND] = _N_BACKGROUND
+    return owner, lo, w, count.astype(int)
 
 
-# the one radial rule: background panels, Gauss points per panel, grading depth
-_BACKGROUND, _N_GL, _DEPTH = 32, 32, 52
+def _gauss_nodes(lo, w, count):
+    """Nodes and weights of count[i] Gauss points on each panel [lo, lo + w]."""
+    xg, wg, start = _gauss_table()
+    idx = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - start[count], count)
+    half = np.repeat(0.5 * w, count)
+    return np.repeat(lo, count) + half * (1.0 + xg[idx]), half * wg[idx]
 
 
 def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
@@ -228,11 +281,20 @@ def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
         u_r(r) = -(1 / (pi r^n)) * int_0^inf f'(rho) rho^n Psi_n(rho/r, (a/r)^2) drho,
 
     negative wherever f is nondecreasing (the velocity points inward) and
-    exactly zero at r = 0.  Each target is evaluated once, by one fixed rule
-    that does not depend on the other targets: 32 uniform background panels
-    plus geometric grading of depth 52 toward min(r, support), 32 Gauss points
-    per panel.  No error estimate is returned, and the panels ignore the
-    profile's breakpoints: on splines the error is up to 5e-2 relative.
+    exactly zero at r = 0.  Each target is evaluated by one fixed rule
+    (`_radial_panels`): 16 uniform background panels with 16 Gauss points,
+    split at the profile's `breakpoints` and graded geometrically toward
+    min(r, support) from both sides (depth 36) and outward at distances
+    r 2^k, with 3 to 10 points on every narrower panel: about 1,000 Psi_n
+    points per target on the shipped families and 2,500 on 512 markers.
+    Psi_n is evaluated once per block of targets of about _BLOCK points, and
+    each target is reduced over its own nodes, so its value is bit for bit
+    the same in any batch.  No error estimate is
+    returned.  Against nested adaptive quadrature split at the breakpoints
+    the measured error is at most 3e-12 relative on the shipped families
+    (splines included) and on marker profiles, from r = 1e-6 to 40 and at
+    breakpoints +- 1e-9; where c = (a/r)^2 is small the closed forms of
+    Psi_n cancel and the error grows like 1e-16 / c.
 
     Accepts a scalar or an array of radii; the scalar form returns a float.
     """
@@ -242,13 +304,32 @@ def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
         raise ValueError("radii must be nonnegative")
     n, a = params.n, params.a
     out = np.zeros_like(targets)
-    for i, x in enumerate(targets):
-        if x <= 0.0:
-            continue
-        brk = _radial_quadrature_nodes(x, prof.support_radius, _BACKGROUND, _DEPTH)
-        rho, wt = gauss_panels(brk, _N_GL)
-        vals = psi(n, rho / x, (a / x) ** 2)
-        out[i] = -np.dot(wt * prof.derivative(rho) * rho ** n, vals) / (np.pi * x ** n)
+    L = prof.support_radius
+    inner = np.asarray(prof.breakpoints, dtype=float)
+    inner = inner[(inner > 0.0) & (inner < L)]
+    live = np.flatnonzero(targets > 0.0)
+    # a target has at least the background's points, so the panels are
+    # built for as many targets as one block could hold
+    chunk = _BLOCK // (_BACKGROUND * _N_BACKGROUND)
+    for c in range(0, len(live), chunk):
+        idx = live[c:c + chunk]
+        x = targets[idx]
+        owner, lo, w, count = _radial_panels(x, L, inner)
+        size = np.bincount(owner, weights=count).astype(int)
+        # blocks of whole targets, cut where the running point count passes
+        # a multiple of _BLOCK
+        block = (np.cumsum(size) - size) // _BLOCK
+        for b in np.unique(block):
+            mine = np.flatnonzero(block == b)
+            keep = (owner >= mine[0]) & (owner <= mine[-1])
+            rho, wt = _gauss_nodes(lo[keep], w[keep], count[keep])
+            xr = np.repeat(x[mine], size[mine])
+            vals = psi(n, rho / xr, (a / xr) ** 2)
+            f = wt * prof.derivative(rho) * rho ** n
+            end = 0
+            for i in mine:
+                start, end = end, end + size[i]
+                out[idx[i]] = -np.dot(f[start:end], vals[start:end]) / (np.pi * x[i] ** n)
     return float(out[0]) if scalar else out
 
 

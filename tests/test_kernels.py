@@ -45,6 +45,17 @@ class TestPsi:
                 ref = psi_reference(n, q, c)
                 assert got == pytest.approx(ref, rel=1e-10)
 
+    def test_quadrature_batch_equals_single_elements(self):
+        # elements are evaluated in groups and chunks; each value must depend
+        # only on its own q and c
+        q = np.concatenate([np.array(QS), np.linspace(0.0, 3.0, 150)])
+        c = np.resize(np.array(CS), q.shape)
+        batch = psi_quadrature(4, q, c)
+        single = [psi_quadrature(4, q[i:i + 1], c[i:i + 1])[0] for i in range(len(q))]
+        assert np.array_equal(batch, single)
+        assert np.array_equal(psi_quadrature(4, q.reshape(2, -1), c.reshape(2, -1)),
+                              batch.reshape(2, -1))
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_positive(self, n):
         q = np.array(QS)

@@ -43,13 +43,22 @@ def _nested_quad_psi(n, q, c):
 
 def _nested_quad_velocity(prof, n, a, r):
     """u_r(r) = -(pi r^n)^-1 int_0^L f'(rho) rho^n Psi_n(rho/r, (a/r)^2) drho,
-    split at the log singularity rho = r."""
+    split at the profile's breakpoints (where f'' jumps), at the log
+    singularity rho = r and at r 2^k; a breakpoint within r/4 of r adds the
+    points r + (b - r) 2^k, so that no interval sees the singularity much
+    closer than its own length."""
     def integrand(rho):
         return float(prof.derivative(np.array([rho]))[0]) * rho ** n \
             * _nested_quad_psi(n, rho / r, (a / r) ** 2)
 
     L = prof.support_radius
-    pts = [0.0, r, L] if r < L else [0.0, L]
+    pts = {0.0, L, *(b for b in prof.breakpoints if 0.0 < b < L)}
+    if r < L:
+        pts |= {r, *(r * 2.0 ** k for k in range(-1, 60) if r * 2.0 ** k < L)}
+        gap = min((b - r for b in pts if b != r), key=abs)
+        if abs(gap) < 0.25 * r:
+            pts |= {r + gap * 2.0 ** k for k in range(1, 60) if abs(gap) * 2.0 ** k < 0.5 * r}
+    pts = sorted(pts)
     total = sum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
                 for lo, hi in zip(pts[:-1], pts[1:]))
     return -total / (math.pi * r ** n)
@@ -298,18 +307,45 @@ class TestRadialVelocity:
         batch = radial_velocity(f, p, r)
         assert np.array_equal(batch, [radial_velocity(f, p, x) for x in r])
 
-    def test_one_psi_evaluation_per_nonzero_target(self, monkeypatch):
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("r", [1e-6, 1e-3])
+    def test_small_radius_matches_nested_quadrature(self, n, r):
+        # the grading toward r and outward from it reaches radii far below
+        # the background panels
+        prof = bump_profile(1.0, 1.0, 1.0)
+        want = _nested_quad_velocity(prof, n, 1.0, r)
+        got = radial_velocity(prof, Params(n, 1.0, 1.0), r)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("offset", [-1e-9, 1e-9])
+    def test_spline_next_to_breakpoint_matches_nested_quadrature(self, offset):
+        # f'' jumps at every knot of the monotone spline; the panels split there
+        prof = TestFunctionFamily("random_monotone_spline", seed=6).sample()
+        r = float(prof.breakpoints[4]) + offset
+        want = _nested_quad_velocity(prof, 2, 1.0, r)
+        got = radial_velocity(prof, Params(2, 1.0, 1.0), r)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_psi_points_and_calls_per_block(self, monkeypatch):
+        # about 700 Psi_n points per target on the bump, evaluated in one
+        # psi call per block of targets (12 targets fit one panel chunk)
         calls = []
         psi = transform.psi
 
-        def counted_psi(*args):
-            calls.append(1)
-            return psi(*args)
+        def counted_psi(n, q, c):
+            calls.append(np.size(q))
+            return psi(n, q, c)
 
         monkeypatch.setattr(transform, "psi", counted_psi)
         radial_velocity(bump_profile(1.0, 1.0, 1.0), Params(2, 1.0, 1.0),
                         np.array([0.0, 0.3, 0.9, 1.7]))
-        assert len(calls) == 3
+        assert sum(calls) <= 3 * 800
+        assert len(calls) <= -(-sum(calls) // transform._BLOCK)
+        calls.clear()
+        radial_velocity(bump_profile(1.0, 1.0, 1.0), Params(2, 1.0, 1.0),
+                        np.geomspace(1e-6, 3.0, 12))
+        assert len(calls) <= -(-sum(calls) // transform._BLOCK)
+        assert max(calls) <= transform._BLOCK + 1300
 
     def test_rejects_negative_radius(self):
         p = Params(2, 1.0, 1.0)
