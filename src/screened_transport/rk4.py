@@ -33,12 +33,22 @@ def rk4(y, dt: float, k1, f):
     """
     ks = [k1]
     for coeff in (0.5, 0.5, 1.0):
-        k = f(y + coeff * dt * ks[-1])
+        stage = (coeff * dt) * ks[-1]
+        stage += y
+        k = f(stage)
         if k is None:
             return None
         ks.append(k)
+    # y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) operation for operation, since
+    # IEEE sums and products commute: the same bits with fewer temporaries
     k1, k2, k3, k4 = ks
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = 2.0 * k2
+    out += k1
+    out += 2.0 * k3
+    out += k4
+    out *= dt / 6.0
+    out += y
+    return out
 
 
 def time_loop(state, t_max: float, first, step, row, crossed, output_interval: float,

@@ -2,7 +2,11 @@
 
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from screened_transport.rk4 import DT_MIN, Stop, rk4, time_loop
 
@@ -98,3 +102,36 @@ def test_threshold_stops_the_run():
     # tested after every step, with the row only on the steps that recorded
     assert seen == [False, False, True, False, False, True, False]
     assert series.times[-1] == pytest.approx(0.7)
+
+
+finite = st.floats(-1e6, 1e6, allow_subnormal=False)
+# complex arrays, like the half spectra the 2-D solver advances
+spectra = hnp.arrays(np.complex128, 7, elements=st.complex_numbers(
+    max_magnitude=1e6, allow_nan=False, allow_infinity=False, allow_subnormal=False))
+
+
+def rk4_matches_formula(y, dt, k1, k2, k3, k4):
+    """rk4 with stages k2..k4 handed out in turn, against the textbook
+    formula; both the stage inputs and the result must agree bit for bit."""
+    stages = iter([k2, k3, k4])
+    inputs = []
+
+    def f(x):
+        inputs.append(x)
+        return next(stages)
+
+    got = rk4(y, dt, k1, f)
+    expect = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    expect_inputs = [y + 0.5 * dt * k1, y + 0.5 * dt * k2, y + 1.0 * dt * k3]
+    bits = [np.asarray(v).tobytes() for v in [got] + inputs]
+    return bits == [np.asarray(v).tobytes() for v in [expect] + expect_inputs]
+
+
+@given(finite, st.floats(1e-6, 1.0), finite, finite, finite, finite)
+def test_rk4_is_the_formula_bit_for_bit_on_floats(y, dt, k1, k2, k3, k4):
+    assert rk4_matches_formula(y, dt, k1, k2, k3, k4)
+
+
+@given(spectra, st.floats(1e-6, 1.0), spectra, spectra, spectra, spectra)
+def test_rk4_is_the_formula_bit_for_bit_on_arrays(y, dt, k1, k2, k3, k4):
+    assert rk4_matches_formula(y, dt, k1, k2, k3, k4)
