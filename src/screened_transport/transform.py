@@ -293,8 +293,10 @@ def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
     returned.  Against nested adaptive quadrature split at the breakpoints
     the measured error is at most 3e-12 relative on the shipped families
     (splines included) and on marker profiles, from r = 1e-6 to 40 and at
-    breakpoints +- 1e-9; where c = (a/r)^2 is small the closed forms of
-    Psi_n cancel and the error grows like 1e-16 / c.
+    breakpoints +- 1e-9.  Where c = (a/r)^2 is small the two closed forms
+    of Psi_n cancel, up to about 1e-16 / c; `psi` integrates directly below
+    c ~ 1e-3, so at a = 0.1 the error peaks near 2.5e-13 at r ~ 3-4 and
+    stays below 1e-14 from r = 5 to 40.
 
     Accepts a scalar or an array of radii; the scalar form returns a float.
     """

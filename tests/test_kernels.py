@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from screened_transport import Params, bilinear_constant, screening_weight
+from screened_transport import kernels
 from screened_transport.kernels import psi, psi_quadrature
 
 
@@ -65,9 +66,67 @@ class TestPsi:
     def test_vectorized_matches_scalar_loop(self):
         q = np.array(QS)
         c = np.linspace(0.1, 5.0, len(QS))
-        vec = psi(2, q, c)
-        for i in range(len(QS)):
-            assert vec[i] == pytest.approx(float(psi(2, q[i:i + 1], c[i:i + 1])[0]), rel=1e-14)
+        for n in (2, 3):
+            vec = psi(n, q, c)
+            assert np.array_equal(vec, [psi(n, q[i:i + 1], c[i:i + 1])[0] for i in range(len(QS))])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_makes_no_hyp2f1_call(self, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("psi called scipy.special.hyp2f1")
+
+        monkeypatch.setattr(kernels.special, "hyp2f1", refuse)
+        q = np.array(QS)
+        assert np.all(np.isfinite(psi(n, q, np.resize(np.array(CS), q.shape))))
+
+
+class TestSeries:
+    """The power series of the branches away from q = 1 against mpmath's
+    hypergeometric function, and their joins to the closed forms."""
+
+    def test_j2_small_branch_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        m = np.concatenate([np.linspace(0.0, 0.5, 400, endpoint=False),
+                            np.random.default_rng(3).uniform(0.0, 0.5, 400)])
+        # p = 1 and m = 4q / (1 + 2q)
+        q = m / (4.0 - 2.0 * m)
+        got = kernels._j2(np.ones_like(q), q, 1.0 - 2.0 * q)
+        with mp.workdps(40):
+            want = [float(mp.pi / 2 * (1 + 2 * mp.mpf(x)) ** -1.5
+                          * mp.hyp2f1(1.5, 1.5, 3, 4 * mp.mpf(x) / (1 + 2 * mp.mpf(x)))) for x in q]
+        assert np.max(np.abs(got / want - 1.0)) <= 2e-15
+
+    def test_t3_small_branch_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        x = np.concatenate([np.linspace(0.0, 0.5, 400, endpoint=False),
+                            np.random.default_rng(4).uniform(0.0, 0.5, 400)])
+        # p = 1, x = 2q and z = x^2 in [0, 1/4)
+        got = kernels._t3(np.ones_like(x), 0.5 * x, 1.0 - x)
+        with mp.workdps(40):
+            want = [float(mp.mpf(4) / 3 * mp.hyp2f1(1, 1.5, 2.5, mp.mpf(v) ** 2)) for v in x]
+        assert np.max(np.abs(got / want - 1.0)) <= 2e-15
+
+    # the series side, at 1e-6 + 1e-12 and 1e-12 below a switch, extrapolated
+    # linearly to 1e-12 above it, where the closed form takes over
+    STEPS = np.array([-1e-6 - 1e-12, -1e-12, 1e-12])
+
+    @staticmethod
+    def _jump(vals):
+        series = vals[1] + (vals[1] - vals[0]) * 2e-12 / 1e-6
+        return abs(vals[2] - series) / abs(series)
+
+    @pytest.mark.parametrize("p", [1.0, 7.5])
+    def test_j2_continuous_across_switch(self, p):
+        # m = 4q / (p + 2q) = 1/2 at q = p / 6
+        m = 0.5 + self.STEPS
+        q = p * m / (4.0 - 2.0 * m)
+        assert self._jump(kernels._j2(np.full(3, p), q, p - 2.0 * q)) <= 1e-14
+
+    @pytest.mark.parametrize("p", [1.0, 7.5])
+    def test_t3_continuous_across_switch(self, p):
+        # x = 2q / p = 1/2 at q = p / 4
+        q = 0.5 * p * (0.5 + self.STEPS)
+        assert self._jump(kernels._t3(np.full(3, p), q, p - 2.0 * q)) <= 1e-14
 
 
 class TestScreeningWeight:

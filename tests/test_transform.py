@@ -326,6 +326,17 @@ class TestRadialVelocity:
         got = radial_velocity(prof, Params(2, 1.0, 1.0), r)
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("prof", [bump_profile(2.0, 1.0, 4.0),
+                                      TestFunctionFamily("random_monotone_spline", seed=6).sample()],
+                             ids=["shipped_bump", "spline_seed6"])
+    def test_far_target_matches_nested_quadrature(self, n, prof):
+        # c = (a / r)^2 = 1e-5 against (1 - q)^2 of order one: the difference
+        # of the two closed forms of Psi_n would lose about 1e-11 here
+        want = _nested_quad_velocity(prof, n, 0.1, 31.62)
+        got = radial_velocity(prof, Params(n, 0.1, 1.0), 31.62)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_psi_points_and_calls_per_block(self, monkeypatch):
         # about 700 Psi_n points per target on the bump, evaluated in one
         # psi call per block of targets (12 targets fit one panel chunk)
