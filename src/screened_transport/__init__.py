@@ -58,7 +58,6 @@ from .radial import (
 from .ndsolver import (
     NdRunResult,
     NdState,
-    adaptive_dt,
     bkm_partial_integral,
     rhs,
     run_nd,

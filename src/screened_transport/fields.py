@@ -1,4 +1,4 @@
-"""Periodic grids and scalar/vector fields with paired real and spectral views.
+"""Periodic grids and scalar/vector fields: real samples and their half spectra.
 
 The computational domain is the periodic box [-half_width, half_width)^n.
 All spectral symbols are written in angular wavenumbers k; the per-axis
@@ -65,7 +65,8 @@ class Grid:
 
     Wavenumbers are angular: k_j in {-N/2, ..., N/2-1} * pi / half_width.
     The spacing is 2 * half_width / N.  N must be even (paired modes except
-    the single Nyquist mode, which odd symbols suppress).
+    the single Nyquist mode, which odd symbols suppress).  Every spectral
+    array is built on the `rfftn` half grid, shape (N, ..., N, N/2 + 1).
     """
 
     def __init__(self, n: int, half_width: float, points_per_dim: int):
@@ -93,10 +94,6 @@ class Grid:
     def cell_volume(self) -> float:
         return self.spacing ** self.n
 
-    @property
-    def box_volume(self) -> float:
-        return (2.0 * self.half_width) ** self.n
-
     @cached_property
     def axis_coords(self) -> np.ndarray:
         return -self.half_width + self.spacing * np.arange(self.N)
@@ -114,67 +111,48 @@ class Grid:
     def axis_wavenumbers(self) -> np.ndarray:
         return 2.0 * np.pi * sfft.fftfreq(self.N, d=self.spacing)
 
-    @cached_property
-    def wavenumbers(self) -> list:
-        return np.meshgrid(*([self.axis_wavenumbers] * self.n), indexing="ij")
+    def _half_mesh(self, leading: np.ndarray, last: np.ndarray) -> list:
+        # 'ij' meshgrid over the half grid: `leading` on axes 0..n-2, `last`
+        # (columns 0..N/2) on the last axis
+        return np.meshgrid(*([leading] * (self.n - 1)), last, indexing="ij")
 
     @cached_property
-    def wavenumber_magnitude(self) -> np.ndarray:
-        return np.sqrt(sum(k * k for k in self.wavenumbers))
-
-    @cached_property
-    def nyquist_mask(self) -> np.ndarray:
-        """True on modes that contain a Nyquist index on some axis."""
-        m = np.zeros(self.shape, dtype=bool)
-        for ax in range(self.n):
-            idx = [slice(None)] * self.n
-            idx[ax] = self.N // 2
-            m[tuple(idx)] = True
-        return m
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: keep integer modes |m| <= N/3 on every axis."""
-        m1 = sfft.fftfreq(self.N) * self.N
-        keep = np.abs(m1) <= self.N / 3.0
-        out = np.ones(self.shape, dtype=bool)
-        for ax in range(self.n):
-            shape = [1] * self.n
-            shape[ax] = self.N
-            out &= keep.reshape(shape)
-        return out
-
-    def _half(self, full: np.ndarray) -> np.ndarray:
-        # the half grid is the full grid's columns 0..N/2 on the last axis;
-        # its Nyquist column carries the wavenumber -N/2, which even symbols
-        # read through |k| and odd symbols zero
-        return np.ascontiguousarray(full[..., : self.N // 2 + 1])
+    def half_wavenumbers(self) -> list:
+        """k_j per axis on the half grid; the Nyquist column carries +N/2,
+        which even symbols read through |k| and odd symbols zero."""
+        return self._half_mesh(self.axis_wavenumbers,
+                               2.0 * np.pi * sfft.rfftfreq(self.N, d=self.spacing))
 
     @cached_property
     def half_wavenumber_magnitude(self) -> np.ndarray:
-        return self._half(self.wavenumber_magnitude)
+        return np.sqrt(sum(k * k for k in self.half_wavenumbers))
 
     @cached_property
     def half_dealias_mask(self) -> np.ndarray:
-        return self._half(self.dealias_mask)
+        """2/3-rule mask: keep integer modes |m| <= N/3 on every axis."""
+        # the modes as fftfreq * N gives them: at some N (66, 90, ...) mode
+        # N/3 reads N/3 + 1 ulp and is dropped, as it always has been
+        modes = self._half_mesh(sfft.fftfreq(self.N) * self.N, sfft.rfftfreq(self.N) * self.N)
+        return np.logical_and.reduce([np.abs(m) <= self.N / 3.0 for m in modes])
 
     @cached_property
     def half_nyquist_mask(self) -> np.ndarray:
-        return self._half(self.nyquist_mask)
+        """True on modes that contain the Nyquist index N/2 on some axis."""
+        index = self._half_mesh(np.arange(self.N), np.arange(self.N // 2 + 1))
+        return np.logical_or.reduce([i == self.N // 2 for i in index])
 
     @cached_property
     def half_gradient_symbols(self) -> list:
         """i k_j per axis on the half grid, Nyquist modes zeroed."""
-        return [np.where(self.half_nyquist_mask, 0.0, 1j * self._half(k))
-                for k in self.wavenumbers]
+        return [np.where(self.half_nyquist_mask, 0.0, 1j * k) for k in self.half_wavenumbers]
 
     @cached_property
     def half_unit_directions(self) -> list:
         """k_j / |k| per axis on the half grid, zero and Nyquist modes zeroed."""
         kk = self.half_wavenumber_magnitude
         safe = np.where(kk > 0.0, kk, 1.0)
-        return [np.where(self.half_nyquist_mask | (kk == 0.0), 0.0, self._half(k) / safe)
-                for k in self.wavenumbers]
+        return [np.where(self.half_nyquist_mask | (kk == 0.0), 0.0, k / safe)
+                for k in self.half_wavenumbers]
 
     def parseval_norm(self, power: np.ndarray) -> float:
         """L2 norm of the field whose half-spectrum magnitudes squared are
@@ -250,16 +228,15 @@ def make_grid(n: int, half_width: float, N: int) -> Grid:
 
 
 class ScalarField:
-    """Real scalar samples on a Grid with lazily computed spectral views.
+    """Real scalar samples on a Grid with a lazily computed half spectrum.
 
     Fields are immutable: `values` is marked read-only at construction and
-    the Fourier coefficients are cached on first access.  All operations on
+    the `rfftn` coefficients are cached on first access.  All operations on
     fields return new fields.  A half spectrum passed in is cached as given,
     not copied: the caller hands the array over.
     """
 
-    def __init__(self, grid: Grid, values: np.ndarray, _spectrum: np.ndarray | None = None,
-                 _half_spectrum: np.ndarray | None = None):
+    def __init__(self, grid: Grid, values: np.ndarray, _half_spectrum: np.ndarray | None = None):
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
@@ -267,13 +244,7 @@ class ScalarField:
         values.setflags(write=False)
         self.grid = grid
         self.values = values
-        self._spectrum = _spectrum
         self._half_spectrum = _half_spectrum
-
-    @classmethod
-    def from_spectrum(cls, grid: Grid, spectrum: np.ndarray) -> "ScalarField":
-        vals = sfft.ifftn(spectrum).real
-        return cls(grid, vals, _spectrum=np.asarray(spectrum, dtype=complex))
 
     @classmethod
     def from_half_spectrum(cls, grid: Grid, half_spectrum: np.ndarray) -> "ScalarField":
@@ -281,32 +252,15 @@ class ScalarField:
         return cls(grid, sfft.irfftn(half_spectrum, s=grid.shape), _half_spectrum=half_spectrum)
 
     @property
-    def spectrum(self) -> np.ndarray:
-        """Forward FFT of the samples (numpy convention, unnormalized)."""
-        if self._spectrum is None:
-            self._spectrum = sfft.fftn(self.values)
-        return self._spectrum
-
-    @property
     def half_spectrum(self) -> np.ndarray:
-        """`rfftn` of the samples: the spectrum's last-axis columns 0..N/2."""
+        """`rfftn` of the samples (last axis 0..N/2), cached on first access."""
         if self._half_spectrum is None:
             self._half_spectrum = sfft.rfftn(self.values)
         return self._half_spectrum
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.values).all())
-
     def l2_norm(self) -> float:
         """L2 norm over the box, computed spectrally (Parseval)."""
         return self.grid.parseval_norm(np.abs(self.half_spectrum) ** 2)
-
-    def l2_norm_real(self) -> float:
-        """L2 norm by real-space quadrature (trapezoidal on the periodic grid)."""
-        return float(np.sqrt(np.sum(self.values ** 2) * self.grid.cell_volume))
-
-    def mean(self) -> float:
-        return float(self.values.mean())
 
     def spectral_tail(self) -> float:
         """Relative L2 weight of modes outside the 2/3 dealiasing band."""
@@ -385,7 +339,8 @@ def evaluate_at(f: ScalarField, points: np.ndarray) -> np.ndarray:
     """Trigonometric (band-limited) interpolation of a field at arbitrary points.
 
     Cost is O(len(points) * N^n); intended for small point sets such as
-    quadrature cross-checks.
+    quadrature cross-checks.  It sums the full `fftn` spectrum, in which each
+    Nyquist index carries the wavenumber -N/2 only.
     """
     g = f.grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -394,8 +349,8 @@ def evaluate_at(f: ScalarField, points: np.ndarray) -> np.ndarray:
     # physical coefficients on [-half, half): the grid origin sits at index 0
     # of the DFT, which shifts each axis phase by pi per integer mode
     phase = sum(mesh_m)
-    coef = f.spectrum / g.size * np.exp(1j * np.pi * phase)
-    ks = g.wavenumbers
+    coef = sfft.fftn(f.values) / g.size * np.exp(1j * np.pi * phase)
+    ks = np.meshgrid(*([g.axis_wavenumbers] * g.n), indexing="ij")
     out = np.empty(len(pts))
     for i, p in enumerate(pts):
         ph = np.exp(1j * sum(ks[ax] * p[ax] for ax in range(g.n)))
@@ -418,7 +373,7 @@ class RadialProfile:
     Subclasses may override `value`/`derivative` with closed forms.
     """
 
-    def __init__(self, nodes: np.ndarray, values: np.ndarray, monotone: bool = False):
+    def __init__(self, nodes: np.ndarray, values: np.ndarray):
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
         if nodes.ndim != 1 or nodes.shape != values.shape:
@@ -427,8 +382,6 @@ class RadialProfile:
             raise ValueError("first node must be r = 0")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
-        if monotone and np.any(np.diff(values) < -1e-12 * (np.ptp(values) + 1e-300)):
-            raise ValueError("values are not nondecreasing")
         self.nodes = nodes
         self.values = values
 
@@ -479,19 +432,17 @@ class _BumpProfile(RadialProfile):
         self.L = float(support_radius)
         self.depth = float(depth)
         self.sharpness = float(sharpness)
-        nodes = np.linspace(0.0, 2.0 * self.L, 801)
-        super().__init__(nodes, self._eval(nodes), monotone=True)
+        # the nodes give support_radius, breakpoints and origin_value; value
+        # and derivative are the closed forms, so no interpolant is built
+        super().__init__(np.array([0.0, self.L]), np.array([-self.depth, 0.0]))
 
-    def _eval(self, r):
+    def value(self, r):
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         inside = r < self.L
         u = (r[inside] / self.L) ** 2
         out[inside] = -self.depth * np.exp(self.sharpness * (1.0 - 1.0 / (1.0 - u)))
         return out
-
-    def value(self, r):
-        return self._eval(r)
 
     def derivative(self, r):
         r = np.asarray(r, dtype=float)
@@ -502,14 +453,6 @@ class _BumpProfile(RadialProfile):
         core = np.exp(self.sharpness * (1.0 - 1.0 / (1.0 - u)))
         out[inside] = self.depth * core * self.sharpness * (2.0 * rr / self.L ** 2) / (1.0 - u) ** 2
         return out
-
-    @property
-    def support_radius(self) -> float:
-        return self.L
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return np.array([0.0, self.L])
 
 
 def bump_profile(support_radius: float, depth: float, sharpness: float) -> RadialProfile:

@@ -38,7 +38,6 @@ __all__ = [
     "NdRunResult",
     "rhs",
     "step_rk4",
-    "adaptive_dt",
     "run_nd",
     "bkm_partial_integral",
 ]
@@ -160,18 +159,11 @@ def step_rk4(state: NdState, dt: float, workspace: _Workspace | None = None, k1=
 
 
 def _cfl_dt(cfl: float, spacing: float, speed: float, dt_max: float) -> float:
+    """cfl * spacing / (speed + eps), clamped to [DT_MIN, dt_max]; the
+    advection speed g * max |R_a rho| carries the factor g."""
     if not 0.0 < cfl < 1.0:
         raise ValueError("cfl must lie in (0, 1)")
     return float(np.clip(cfl * spacing / (speed + 1e-300), DT_MIN, dt_max))
-
-
-def adaptive_dt(state: NdState, cfl: float, dt_max: float = DT_MAX,
-                workspace: _Workspace | None = None) -> float:
-    """dt = cfl * spacing / (g * max |R_a rho| + eps), clamped to
-    [DT_MIN, dt_max].  The advection speed carries the factor g."""
-    ws = workspace or _Workspace(state.rho.grid, state.params)
-    _, umax = ws.advection(state.rho.half_spectrum)
-    return _cfl_dt(cfl, state.rho.grid.spacing, state.params.g * umax, dt_max)
 
 
 @dataclass

@@ -144,7 +144,7 @@ def step(state: RadialState, dt: float, params: Params, k1=None):
     return replace(state, time=state.time + dt, positions=new_pos), None
 
 
-def _adaptive_dt(positions, velocities, cfl: float, dt_max: float) -> float:
+def _gap_cfl_dt(positions, velocities, cfl: float, dt_max: float) -> float:
     """Pairwise characteristic CFL: no gap may close by more than `cfl` of
     itself in one step."""
     if not 0.0 < cfl < 1.0:
@@ -184,7 +184,7 @@ def run_radial(initial: RadialProfile, params: Params, *,
 
     def first(st):
         v = params.g * radial_rhs(st, params)
-        return v, _adaptive_dt(st.positions, v, cfl, DT_MAX / params.g)
+        return v, _gap_cfl_dt(st.positions, v, cfl, DT_MAX / params.g)
 
     def row(st, dt_now):
         return {"sup_grad": st.max_gradient(),

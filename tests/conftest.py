@@ -1,10 +1,37 @@
 import json
 import os
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 _ACCEPTANCE = {}
+
+
+class FullGrid(NamedTuple):
+    wavenumbers: list       # k_j per axis, 'ij' meshgrid
+    magnitude: np.ndarray   # |k|
+    nyquist: np.ndarray     # True where some axis has the Nyquist index N/2
+    dealias: np.ndarray     # 2/3 rule: integer modes |m| <= N/3 on every axis
+
+
+def full_grid(g) -> FullGrid:
+    """Full `fftn`-layout oracles of a Grid, built as the grid once built
+    them; its half-grid arrays must equal their columns 0..N/2."""
+    ks = np.meshgrid(*([g.axis_wavenumbers] * g.n), indexing="ij")
+    nyquist = np.zeros(g.shape, dtype=bool)
+    for ax in range(g.n):
+        idx = [slice(None)] * g.n
+        idx[ax] = g.N // 2
+        nyquist[tuple(idx)] = True
+    keep = np.abs(sfft.fftfreq(g.N) * g.N) <= g.N / 3.0
+    dealias = np.ones(g.shape, dtype=bool)
+    for ax in range(g.n):
+        shape = [1] * g.n
+        shape[ax] = g.N
+        dealias &= keep.reshape(shape)
+    return FullGrid(ks, np.sqrt(sum(k * k for k in ks)), nyquist, dealias)
 
 
 def record_acceptance(line: str) -> None:

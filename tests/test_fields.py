@@ -20,6 +20,13 @@ from screened_transport import (
 )
 from screened_transport.fields import profile_to_csv
 
+from conftest import full_grid
+
+
+def _real_l2(f):
+    """L2 norm by real-space quadrature (trapezoidal on the periodic grid)."""
+    return np.sqrt(np.sum(f.values ** 2) * f.grid.cell_volume)
+
 
 class TestMakeGrid:
     def test_point_count_and_spacing(self):
@@ -48,30 +55,47 @@ class TestMakeGrid:
         assert g.axis_coords[g.origin_index[0]] == 0.0
 
 
+class TestGrid:
+    @pytest.mark.parametrize("n,N", [(2, 8), (2, 16), (2, 66), (2, 130), (3, 8), (3, 16), (3, 130)])
+    def test_half_grid_symbols_bitwise(self, n, N):
+        # the half-grid arrays are the full-grid ones cut to columns 0..N/2,
+        # bit for bit (N = 130: N/2 odd, N/3 not an integer; N = 66: mode
+        # N/3 reads N/3 + 1 ulp)
+        g = make_grid(n, 4.0, N)
+        fg = full_grid(g)
+        kk = fg.magnitude
+        safe = np.where(kk > 0.0, kk, 1.0)
+        pairs = [(g.half_wavenumber_magnitude, kk),
+                 (g.half_dealias_mask, fg.dealias),
+                 (g.half_nyquist_mask, fg.nyquist)]
+        pairs += [(h, np.where(fg.nyquist, 0.0, 1j * k))
+                  for h, k in zip(g.half_gradient_symbols, fg.wavenumbers)]
+        pairs += [(h, np.where(fg.nyquist | (kk == 0.0), 0.0, k / safe))
+                  for h, k in zip(g.half_unit_directions, fg.wavenumbers)]
+        assert len(pairs) == 3 + 2 * n
+        for half, full in pairs:
+            assert half.dtype == full.dtype
+            assert np.array_equal(half, full[..., : N // 2 + 1])
+
+
 class TestScalarField:
     def test_roundtrip_real_spectral_real(self, rng):
         g = make_grid(2, 3.0, 32)
         vals = rng.standard_normal(g.shape)
         f = ScalarField(g, vals)
-        back = ScalarField.from_spectrum(g, f.spectrum)
+        back = ScalarField.from_half_spectrum(g, f.half_spectrum)
         assert np.max(np.abs(back.values - vals)) <= 1e-12 * np.max(np.abs(vals))
 
     def test_parseval(self, rng):
         g = make_grid(2, 2.0, 48)
         f = ScalarField(g, rng.standard_normal(g.shape))
-        assert f.l2_norm() == pytest.approx(f.l2_norm_real(), rel=1e-10)
+        assert f.l2_norm() == pytest.approx(_real_l2(f), rel=1e-10)
 
     def test_values_are_immutable(self):
         g = make_grid(2, 1.0, 8)
         f = ScalarField(g, np.zeros(g.shape))
         with pytest.raises(ValueError):
             f.values[0, 0] = 1.0
-
-    def test_nonfinite_is_detectable(self):
-        g = make_grid(2, 1.0, 8)
-        vals = np.zeros(g.shape)
-        vals[3, 3] = np.inf
-        assert not ScalarField(g, vals).is_finite()
 
 
 def _edge_column_field(g, rng):
@@ -85,7 +109,7 @@ def _edge_column_field(g, rng):
 
 
 def _full_spectrum_norm(g, spectrum, s=0.0):
-    power = g.wavenumber_magnitude ** (2.0 * s) * np.abs(spectrum) ** 2
+    power = full_grid(g).magnitude ** (2.0 * s) * np.abs(spectrum) ** 2
     return np.sqrt(np.sum(power) * g.cell_volume / g.size)
 
 
@@ -106,7 +130,7 @@ class TestParsevalHalfSpectrum:
 
     def test_l2_norm(self, grid, rng):
         f = _edge_column_field(grid, rng)
-        assert f.l2_norm() == pytest.approx(f.l2_norm_real(), rel=1e-13)
+        assert f.l2_norm() == pytest.approx(_real_l2(f), rel=1e-13)
         assert f.l2_norm() == pytest.approx(_full_spectrum_norm(grid, sfft.fftn(f.values)),
                                             rel=1e-13)
 
@@ -114,8 +138,8 @@ class TestParsevalHalfSpectrum:
     def test_sobolev_norm(self, grid, rng, s):
         f = _edge_column_field(grid, rng)
         sp = sfft.fftn(f.values)
-        lam_s = sfft.ifftn(grid.wavenumber_magnitude ** s * sp).real
-        real_space = f.l2_norm_real() + np.sqrt(np.sum(lam_s ** 2) * grid.cell_volume)
+        lam_s = sfft.ifftn(full_grid(grid).magnitude ** s * sp).real
+        real_space = _real_l2(f) + np.sqrt(np.sum(lam_s ** 2) * grid.cell_volume)
         spectral = _full_spectrum_norm(grid, sp) + _full_spectrum_norm(grid, sp, s)
         assert sobolev_norm(f, s) == pytest.approx(real_space, rel=1e-13)
         assert sobolev_norm(f, s) == pytest.approx(spectral, rel=1e-13)
@@ -186,7 +210,7 @@ class TestSobolevNorm:
         A, m, s = 0.7, 5, 1.3
         k = m * np.pi / 4.0
         f = ScalarField(g, A * np.cos(k * g.coords[0]))
-        expected = A * np.sqrt(g.box_volume / 2.0) * (1.0 + k ** s)
+        expected = A * np.sqrt((2.0 * g.half_width) ** g.n / 2.0) * (1.0 + k ** s)
         assert sobolev_norm(f, s) == pytest.approx(expected, rel=1e-12)
 
 
@@ -217,7 +241,9 @@ class TestBumpProfile:
     def test_origin_value(self):
         prof = bump_profile(1.0, 0.8, 2.0)
         assert prof.value(np.array([0.0]))[0] == pytest.approx(-0.8)
-        assert prof.origin_value() == pytest.approx(-0.8)
+        assert prof.origin_value() == -0.8
+        assert prof.support_radius == 1.0
+        assert np.array_equal(prof.breakpoints, [0.0, 1.0])
 
     def test_vanishes_outside_support(self):
         prof = bump_profile(1.0, 1.0, 3.0)
@@ -252,14 +278,10 @@ class TestRadialProfile:
         with pytest.raises(ValueError):
             RadialProfile(np.array([0.0, 0.2, 0.2]), np.zeros(3))
 
-    def test_monotone_flag_enforced(self):
-        with pytest.raises(ValueError):
-            RadialProfile(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.5]), monotone=True)
-
     def test_monotone_interpolation_preserves_order(self):
         nodes = np.linspace(0.0, 1.0, 11)
         vals = np.sort(np.tanh(3 * (nodes - 0.4)))
-        prof = RadialProfile(nodes, vals, monotone=True)
+        prof = RadialProfile(nodes, vals)
         r = np.linspace(0.0, 1.0, 2000)
         assert np.all(np.diff(prof.value(r)) >= -1e-12)
 
