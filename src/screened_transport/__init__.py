@@ -66,12 +66,11 @@ from .ndsolver import (
 from .inequalities import (
     CertificateReport,
     TestFunctionFamily,
-    bilinear_constant,
     certify_bilinear,
     certify_pointwise,
-    screening_weight,
     young_split,
 )
+from .kernels import bilinear_constant, screening_weight
 from .rk4 import Stop
 from .config import ConfigError, ExperimentConfig, parse_config
 

@@ -20,7 +20,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import gamma as _gamma
 
 from .fields import Params, RadialProfile, ScalarField
-from .kernels import bilinear_constant, gauss_panels, screening_weight
+from .kernels import GRADED_POINTS, bilinear_constant, gauss_panels, graded_breaks, screening_weight
 
 __all__ = [
     "BlowupConfig",
@@ -102,49 +102,34 @@ class DiagnosticsSeries:
 # the weighted functional
 # ---------------------------------------------------------------------------
 
-# the graded rule: Gauss points per panel, at most this many halvings toward 0
-_N_GL, _DEPTH = 16, 40
-
-
-def _graded_weighted_integral(value_fn, origin_value: float, L: float, n: int,
-                              delta: float) -> float:
-    """omega_{n-1} * int_0^L (value(r) - origin) r^{-1-delta} dr with panels
-    graded geometrically toward the weight's singularity at 0."""
-    brk = [L]
-    w = L
-    for _ in range(_DEPTH):
-        w *= 0.5
-        brk.append(w)
-        if w < 1e-9 * L:
-            break
-    r, wt = gauss_panels(np.unique(np.asarray(brk + [0.0])), _N_GL)
-    vals = (np.asarray(value_fn(r), dtype=float) - origin_value) * r ** (-1.0 - delta)
-    return sphere_area(n) * float(np.dot(wt, vals))
-
-
 def blowup_functional(rho, cfg: BlowupConfig) -> float:
     """I = int_{B_L} (rho - rho(0)) / |x|^{n+delta} dx.
 
     Radial profiles use their own interpolant; scalar fields are reduced to
     the exact identity I = omega_{n-1} int_0^L (angular mean - rho(0))
     r^{-1-delta} dr with the angular mean taken over equal-radius lattice
-    classes.  The integrable weight singularity at the origin is handled by
-    geometric panel grading (the integrand vanishes there for C^1 data).
+    classes.  Both integrate by the certifier's graded rule (`graded_breaks`,
+    GRADED_POINTS Gauss points per panel): uniform panels, split at a radial
+    profile's breakpoints (a scalar field passes none), and graded
+    geometrically toward the weight's integrable singularity at the origin
+    (the integrand vanishes there for C^1 data).
     """
-    n = cfg.params.n
-    L = cfg.support_radius
-    delta = cfg.delta
     if isinstance(rho, RadialProfile):
-        return _graded_weighted_integral(rho.value, rho.origin_value(), L, n, delta)
-    if isinstance(rho, ScalarField):
+        value, origin, breakpoints = rho.value, rho.origin_value(), rho.breakpoints
+    elif isinstance(rho, ScalarField):
         radii, means = rho.grid.radial_average(rho.values)
-        sel = radii <= L + 2.0 * rho.grid.spacing
+        sel = radii <= cfg.support_radius + 2.0 * rho.grid.spacing
         # interpolate in r^2: smooth fields are smooth functions of r^2, so
         # the innermost segment (which the weight emphasizes) stays accurate
         pch = PchipInterpolator(radii[sel] ** 2, means[sel], extrapolate=True)
         origin = float(rho.values[rho.grid.origin_index])
-        return _graded_weighted_integral(lambda r: pch(r * r), origin, L, n, delta)
-    raise TypeError(f"expected RadialProfile or ScalarField, got {type(rho)!r}")
+        value, breakpoints = (lambda r: pch(r * r)), ()
+    else:
+        raise TypeError(f"expected RadialProfile or ScalarField, got {type(rho)!r}")
+    brk = graded_breaks(cfg.support_radius, breakpoints)
+    r, wt = gauss_panels(brk[:-1], brk[1:], GRADED_POINTS)
+    vals = (np.asarray(value(r), dtype=float) - origin) * r ** (-1.0 - cfg.delta)
+    return sphere_area(cfg.params.n) * float(np.dot(wt, vals))
 
 
 def riccati_rate(cfg: BlowupConfig) -> float:

@@ -129,11 +129,11 @@ class Grid:
 
     @cached_property
     def half_dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: keep integer modes |m| <= N/3 on every axis."""
-        # the modes as fftfreq * N gives them: at some N (66, 90, ...) mode
-        # N/3 reads N/3 + 1 ulp and is dropped, as it always has been
-        modes = self._half_mesh(sfft.fftfreq(self.N) * self.N, sfft.rfftfreq(self.N) * self.N)
-        return np.logical_and.reduce([np.abs(m) <= self.N / 3.0 for m in modes])
+        """2/3-rule mask: keep integer modes |m| < N/3 on every axis, so that
+        a product of two kept modes (|m| < 2N/3) never aliases onto one."""
+        i = np.arange(self.N)
+        keep = 3 * np.minimum(i, self.N - i) < self.N
+        return np.logical_and.reduce(self._half_mesh(keep, keep[:self.N // 2 + 1]))
 
     @cached_property
     def half_nyquist_mask(self) -> np.ndarray:

@@ -26,15 +26,13 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline, PPoly
 
 from .fields import Params, RadialProfile, bump_profile
-from .kernels import bilinear_constant, gauss_panels, screening_weight
+from .kernels import GRADED_POINTS, bilinear_constant, gauss_panels, graded_breaks, screening_weight
 from .transform import radial_velocity
 from .blowup import sphere_area
 
 __all__ = [
     "TestFunctionFamily",
     "CertificateReport",
-    "bilinear_constant",
-    "screening_weight",
     "certify_pointwise",
     "certify_bilinear",
     "young_split",
@@ -183,31 +181,16 @@ def report_to_json(report: CertificateReport, path) -> None:
 # quadrature helpers
 # ---------------------------------------------------------------------------
 
-# the graded rule: uniform panels per unit length, halvings toward the origin,
-# and Gauss points per panel for the profile integral and the bilinear sides
-_PER_UNIT, _DEPTH, _N_GL_PROFILE, _N_GL_BILINEAR = 12, 40, 24, 16
-
-
-def _graded_breaks(upper, breakpoints):
-    brk = set(np.linspace(0.0, upper, max(4, int(np.ceil(_PER_UNIT * upper))) + 1))
-    brk.update(b for b in np.asarray(breakpoints, float) if 0.0 < b < upper)
-    w = upper
-    for _ in range(_DEPTH):
-        w *= 0.5
-        brk.add(w)
-        if w < 1e-10 * upper:
-            break
-    brk = np.array(sorted(brk))
-    keep = np.concatenate([[True], np.diff(brk) > 1e-13 * upper])
-    return brk[keep]
+# Gauss points per panel of the graded rule for the profile integral
+_N_GL_PROFILE = 24
 
 
 def weighted_profile_integral(f, r: float, n: int) -> float:
     """int_0^r (f(r) - f(rho)) rho^{n-1} d(rho) by panel Gauss-Legendre."""
     if r <= 0:
         return 0.0
-    brk = _graded_breaks(r, f.breakpoints)
-    rho, w = gauss_panels(brk, _N_GL_PROFILE)
+    brk = graded_breaks(r, f.breakpoints)
+    rho, w = gauss_panels(brk[:-1], brk[1:], _N_GL_PROFILE)
     fr = float(np.asarray(f.value(np.asarray([r])))[0])
     return float(np.dot(w, (fr - f.value(rho)) * rho ** (n - 1)))
 
@@ -254,25 +237,20 @@ def certify_pointwise(f, params: Params, radii, tolerance: float = 1e-8) -> Cert
     )
 
 
-def _bilinear_lhs(f, params: Params, delta: float) -> float:
-    """-int R_a f . grad f / |x|^{n+delta} dx by radial reduction:
+def _bilinear_lhs(f, params: Params, delta: float, r, w) -> float:
+    """-int R_a f . grad f / |x|^{n+delta} dx by radial reduction on nodes r:
     -omega_{n-1} int u_r(r) f'(r) r^{-1-delta} dr (exact on the support of f')."""
-    R = f.support_radius
-    brk = _graded_breaks(R, f.breakpoints)
-    r, w = gauss_panels(brk, _N_GL_BILINEAR)
     u = radial_velocity(f, params, r)
     integrand = -u * f.derivative(r) * r ** (-1.0 - delta)
     return sphere_area(params.n) * float(np.dot(w, integrand))
 
 
-def _bilinear_rhs(f, params: Params, delta: float) -> float:
-    """C_{n,delta} int (f - f(0))^2 / |x|^{n+1+delta} w_a(|x|) dx, truncated
-    where the analytic tail bound falls below 1e-10 of the running value."""
+def _bilinear_rhs(f, params: Params, delta: float, r, w) -> float:
+    """C_{n,delta} int (f - f(0))^2 / |x|^{n+1+delta} w_a(|x|) dx on nodes r,
+    then octaves beyond R until the analytic tail bound falls below 1e-10."""
     n, a = params.n, params.a
     f0 = float(np.asarray(f.value(np.asarray([0.0])))[0])
     R = f.support_radius
-    body_breaks = _graded_breaks(R, f.breakpoints)
-    r, w = gauss_panels(body_breaks, _N_GL_BILINEAR)
 
     def chunk(rr, ww):
         vals = (np.asarray(f.value(rr)) - f0) ** 2 * rr ** (-2.0 - delta) \
@@ -289,8 +267,7 @@ def _bilinear_rhs(f, params: Params, delta: float) -> float:
         if tail_bound <= 1e-10 * abs(total) + 1e-300:
             break
         hi = 2.0 * lo
-        r2, w2 = gauss_panels(np.array([lo, hi]), _N_GL_BILINEAR)
-        total += chunk(r2, w2)
+        total += chunk(*gauss_panels(lo, hi, GRADED_POINTS))
         lo = hi
         if lo > 1e9 * max(R, a):
             break
@@ -299,9 +276,12 @@ def _bilinear_rhs(f, params: Params, delta: float) -> float:
 
 def certify_bilinear(f, params: Params, delta: float, tolerance: float = 1e-6) -> CertificateReport:
     """Check LHS >= RHS for the weighted bilinear inequality at one profile;
-    reports ratio = LHS / RHS (passes when ratio >= 1 - tolerance)."""
-    lhs = _bilinear_lhs(f, params, delta)
-    rhs_ = _bilinear_rhs(f, params, delta)
+    reports ratio = LHS / RHS (passes when ratio >= 1 - tolerance).  Both
+    sides integrate on the nodes of the graded rule on [0, R]."""
+    brk = graded_breaks(f.support_radius, f.breakpoints)
+    r, w = gauss_panels(brk[:-1], brk[1:], GRADED_POINTS)
+    lhs = _bilinear_lhs(f, params, delta, r, w)
+    rhs_ = _bilinear_rhs(f, params, delta, r, w)
     if rhs_ <= 0:
         ratio = np.inf
         slack = lhs

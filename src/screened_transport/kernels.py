@@ -10,9 +10,12 @@ is done analytically).  For n = 2 the integral reduces to complete elliptic
 integrals, for n = 3 to elementary logarithms; away from q = 1 both are Gauss
 hypergeometric functions of a small argument, summed as fixed power series
 (about 20-35 ns per point, against 150-200 ns for SciPy's general Gauss
-hypergeometric function, and within 4.4e-16 of mpmath).  Other n fall back to graded Gauss-Legendre panels.
-Psi_n has an integrable logarithmic singularity at q = 1; callers must not
-place quadrature nodes exactly there.
+hypergeometric function, and within 4.4e-16 of mpmath).  Other n fall back
+to graded Gauss-Legendre panels.  Psi_n has an integrable logarithmic
+singularity at q = 1; callers must not place quadrature nodes exactly there.
+
+Every radial integral takes its nodes from `gauss_panels`; the weighted ones
+(I(t) and the certifier's) take their panels from `graded_breaks`.
 """
 
 from __future__ import annotations
@@ -22,12 +25,8 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-__all__ = ["psi", "psi_quadrature", "screening_weight", "bilinear_constant", "gauss_panels"]
-
-# cached: building a rule costs ~0.2 ms, and psi_quadrature and every
-# gauss_panels call (certification and blow-up functional integrals) ask
-# again for the same few rules
-_leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+__all__ = ["psi", "psi_quadrature", "screening_weight", "bilinear_constant", "gauss_panels",
+           "graded_breaks"]
 
 # relative size of c below which the difference of the two closed forms
 # loses precision (about 1e-16 / c relative) and the cancellation-free
@@ -100,14 +99,49 @@ def _t3(p, q, pm):
     return out
 
 
-def gauss_panels(breaks, n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on every panel
-    [breaks[i], breaks[i+1]], flattened panel by panel."""
-    xg, wg = _leggauss(n)
-    lo, hi = breaks[:-1], breaks[1:]
-    x = (0.5 * (hi - lo)[:, None] * xg[None, :] + 0.5 * (hi + lo)[:, None]).ravel()
-    w = (0.5 * (hi - lo)[:, None] * wg[None, :]).ravel()
-    return x, w
+@lru_cache(maxsize=None)
+def _gauss_table(most: int):
+    """Gauss-Legendre nodes and weights of 1..most points laid end to end,
+    and the index where the k-point rule starts (cached: building a rule
+    costs about 0.2 ms, and every caller asks again for the same few)."""
+    rules = [np.polynomial.legendre.leggauss(k) for k in range(1, most + 1)]
+    k = np.arange(most + 1)
+    return (np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules]),
+            k * (k - 1) // 2)
+
+
+def gauss_panels(lo, hi, count):
+    """Nodes 0.5 (hi - lo) x + 0.5 (hi + lo) and weights 0.5 (hi - lo) w of
+    the Gauss-Legendre rule on every panel [lo, hi], panel by panel; `count`
+    points on every panel, or count[i] on panel i."""
+    lo, hi = (np.asarray(v, dtype=float).ravel() for v in (lo, hi))
+    count = np.broadcast_to(np.asarray(count, dtype=int).ravel(), lo.shape)
+    xg, wg, start = _gauss_table(int(count.max()))
+    idx = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - start[count], count)
+    half = np.repeat(0.5 * (hi - lo), count)
+    return half * xg[idx] + np.repeat(0.5 * (hi + lo), count), half * wg[idx]
+
+
+# the graded rule: uniform panels per unit length, halvings toward the
+# origin, and the Gauss points per panel of the integrals that share it
+_PER_UNIT, _DEPTH = 12, 40
+GRADED_POINTS = 16
+
+
+def graded_breaks(upper, breakpoints):
+    """Panel ends on [0, upper]: uniform panels, split at the `breakpoints`
+    inside (0, upper) and graded toward the origin by halvings of upper."""
+    brk = set(np.linspace(0.0, upper, max(4, int(np.ceil(_PER_UNIT * upper))) + 1))
+    brk.update(b for b in np.asarray(breakpoints, float) if 0.0 < b < upper)
+    w = upper
+    for _ in range(_DEPTH):
+        w *= 0.5
+        brk.add(w)
+        if w < 1e-10 * upper:
+            break
+    brk = np.array(sorted(brk))
+    keep = np.concatenate([[True], np.diff(brk) > 1e-13 * upper])
+    return brk[keep]
 
 
 def psi_quadrature(n: int, q, c):
@@ -127,7 +161,6 @@ def psi_quadrature(n: int, q, c):
     first = np.minimum(np.maximum(np.abs(1.0 - qf), 1e-9), np.pi / 8.0)
     # panels: [0, first], then doublings while below pi, then up to pi
     panels = np.ceil(np.log2(np.pi / first)).astype(int) + 1
-    xg, wg = _leggauss(32)
     out = np.empty(qf.shape)
     for m in np.unique(panels):
         grow = 2.0 ** np.arange(m - 1)
@@ -135,12 +168,11 @@ def psi_quadrature(n: int, q, c):
         for idx in np.array_split(of_m, -(-len(of_m) // _QUAD_CHUNK)):
             brk = np.concatenate([np.zeros((len(idx), 1)), first[idx, None] * grow,
                                   np.full((len(idx), 1), np.pi)], axis=1)
-            half = 0.5 * np.diff(brk, axis=1)[..., None]
-            mu = half * xg + 0.5 * (brk[:, 1:] + brk[:, :-1])[..., None]
+            mu, w = (v.reshape(len(idx), m, 32) for v in gauss_panels(brk[:, :-1], brk[:, 1:], 32))
             qi, ci = qf[idx, None, None], cf[idx, None, None]
             A = (1.0 - qi) ** 2 + 4.0 * qi * np.sin(0.5 * mu) ** 2
             bracket = A ** -e * (-np.expm1(-e * np.log1p(ci / A)))
-            out[idx] = np.sum(np.sum(half * wg * np.sin(mu) ** n * bracket, axis=2), axis=1)
+            out[idx] = np.sum(np.sum(w * np.sin(mu) ** n * bracket, axis=2), axis=1)
     return out.reshape(q.shape)
 
 

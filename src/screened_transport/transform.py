@@ -21,7 +21,6 @@ agreement bounds the periodization gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.fft as sfft
@@ -30,7 +29,7 @@ from scipy.interpolate import RectBivariateSpline
 from scipy.ndimage import map_coordinates
 
 from .fields import Params, ScalarField, VectorField
-from .kernels import psi
+from .kernels import gauss_panels, psi
 
 __all__ = [
     "LimitReport",
@@ -165,7 +164,6 @@ def screened_riesz_direct(f: ScalarField, params: Params, targets,
     cn = special.gamma(0.5 * (n + 1)) / np.pi ** (0.5 * (n + 1))
     a = params.a
     h = g.spacing
-    xg, wg = np.polynomial.legendre.leggauss(_DIRECT_N_GL)
     out = np.zeros((len(targets), n))
     for it, x0 in enumerate(targets):
         rmax = support_radius + float(np.linalg.norm(x0)) + 2.0 * h
@@ -179,10 +177,10 @@ def screened_riesz_direct(f: ScalarField, params: Params, targets,
             w *= 2.0
         brk.extend(np.linspace(w, rmax, max(8, int(np.ceil((rmax - w) / (2.0 * h))))))
         brk = np.unique(np.asarray(brk))
+        nodes, weights = gauss_panels(brk[:-1], brk[1:], _DIRECT_N_GL)
         acc = np.zeros(n)
-        for lo, hi in zip(brk[:-1], brk[1:]):
-            rr = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
-            wt = 0.5 * (hi - lo) * wg
+        for hi, rr, wt in zip(brk[1:], nodes.reshape(-1, _DIRECT_N_GL),
+                              weights.reshape(-1, _DIRECT_N_GL)):
             # angular resolution follows the circle length in grid cells
             n_polar = max(12, int(2.0 * np.ceil(hi / h)))
             dirs, aw = _sphere_quadrature(n, n_polar)
@@ -213,20 +211,10 @@ _SLIVER = 8
 _BLOCK = 4096
 
 
-@lru_cache(maxsize=None)
-def _gauss_table():
-    """Gauss-Legendre nodes and weights of 1.._N_BACKGROUND points laid end
-    to end, and the index where the k-point rule starts."""
-    rules = [np.polynomial.legendre.leggauss(k) for k in range(1, _N_BACKGROUND + 1)]
-    k = np.arange(_N_BACKGROUND + 1)
-    return (np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules]),
-            k * (k - 1) // 2)
-
-
 def _radial_panels(x: np.ndarray, support: float, inner: np.ndarray):
     """The panels of the radial rule at the targets x > 0, in target order:
-    the target each panel belongs to, its left end, its width and its number
-    of Gauss points.
+    the target each panel belongs to, its two ends and its number of Gauss
+    points.
 
     A target's breakpoints are the union of a uniform background, the
     profile's inner breakpoints, and points at distances s 2^k from
@@ -255,22 +243,14 @@ def _radial_panels(x: np.ndarray, support: float, inner: np.ndarray):
     w = np.diff(brk, axis=1)
     keep = w > 0.0
     owner = np.broadcast_to(np.arange(len(x))[:, None], w.shape)[keep]
-    lo, w = brk[:, :-1][keep], w[keep]
+    lo, hi, w = brk[:, :-1][keep], brk[:, 1:][keep], w[keep]
     xo = x[owner]
     with np.errstate(divide="ignore"):
         per_point = np.arccosh(1.0 + 2.0 * np.maximum(lo - xo, xo - lo - w) / w)
         fewest = np.where(w * _SLIVER * _BACKGROUND <= support, _N_MIN - 1, _N_MIN)
         count = np.clip(np.ceil(_DIGITS * np.log(10.0) / (2.0 * per_point)), fewest, _N_NARROW)
     count[w >= 0.5 * support / _BACKGROUND] = _N_BACKGROUND
-    return owner, lo, w, count.astype(int)
-
-
-def _gauss_nodes(lo, w, count):
-    """Nodes and weights of count[i] Gauss points on each panel [lo, lo + w]."""
-    xg, wg, start = _gauss_table()
-    idx = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - start[count], count)
-    half = np.repeat(0.5 * w, count)
-    return np.repeat(lo, count) + half * (1.0 + xg[idx]), half * wg[idx]
+    return owner, lo, hi, count.astype(int)
 
 
 def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
@@ -316,7 +296,7 @@ def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
     for c in range(0, len(live), chunk):
         idx = live[c:c + chunk]
         x = targets[idx]
-        owner, lo, w, count = _radial_panels(x, L, inner)
+        owner, lo, hi, count = _radial_panels(x, L, inner)
         size = np.bincount(owner, weights=count).astype(int)
         # blocks of whole targets, cut where the running point count passes
         # a multiple of _BLOCK
@@ -324,7 +304,7 @@ def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
         for b in np.unique(block):
             mine = np.flatnonzero(block == b)
             keep = (owner >= mine[0]) & (owner <= mine[-1])
-            rho, wt = _gauss_nodes(lo[keep], w[keep], count[keep])
+            rho, wt = gauss_panels(lo[keep], hi[keep], count[keep])
             xr = np.repeat(x[mine], size[mine])
             vals = psi(n, rho / xr, (a / xr) ** 2)
             f = wt * prof.derivative(rho) * rho ** n

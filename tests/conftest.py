@@ -13,7 +13,7 @@ class FullGrid(NamedTuple):
     wavenumbers: list       # k_j per axis, 'ij' meshgrid
     magnitude: np.ndarray   # |k|
     nyquist: np.ndarray     # True where some axis has the Nyquist index N/2
-    dealias: np.ndarray     # 2/3 rule: integer modes |m| <= N/3 on every axis
+    dealias: np.ndarray     # 2/3 rule: integer modes |m| < N/3 on every axis
 
 
 def full_grid(g) -> FullGrid:
@@ -25,7 +25,7 @@ def full_grid(g) -> FullGrid:
         idx = [slice(None)] * g.n
         idx[ax] = g.N // 2
         nyquist[tuple(idx)] = True
-    keep = np.abs(sfft.fftfreq(g.N) * g.N) <= g.N / 3.0
+    keep = 3 * np.abs(np.rint(sfft.fftfreq(g.N) * g.N).astype(int)) < g.N
     dealias = np.ones(g.shape, dtype=bool)
     for ax in range(g.n):
         shape = [1] * g.n

@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from screened_transport import (
     BlowupConfig,
@@ -19,9 +21,36 @@ from screened_transport import (
     structural_checks,
 )
 from screened_transport.blowup import checks_to_json, sphere_area
+from screened_transport.inequalities import TestFunctionFamily
+from screened_transport.radial import blended_markers
 
 
 P2 = Params(2, 1.0, 1.0)
+
+
+def _nested_quad_functional(prof, cfg):
+    """omega_{n-1} int_0^L (f(r) - f(0)) r^{-1-delta} dr by adaptive
+    quadrature, split at the profile's breakpoints and at L 2^-k toward the
+    weight's singularity at the origin.  f(r) - f(0) cancels near the
+    origin, so each piece also stops at an absolute 1e-14 (the values tested
+    are 2 to 30)."""
+    L, f0 = cfg.support_radius, prof.origin_value()
+
+    def integrand(r):
+        return (float(prof.value(np.array([r]))[0]) - f0) * r ** (-1.0 - cfg.delta)
+
+    pts = sorted({0.0, *(L * 2.0 ** -k for k in range(60)),
+                  *(b for b in prof.breakpoints if 0.0 < b < L)})
+    total = math.fsum(integrate.quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                      for lo, hi in zip(pts[:-1], pts[1:]))
+    return sphere_area(cfg.params.n) * total
+
+
+def _marker_bump(M):
+    """The benchmark's radial datum (bump L = 1, sharpness 4) on M blended
+    markers, as the characteristics solver holds it."""
+    labels = blended_markers(M, 1.0)
+    return RadialProfile(labels, np.asarray(bump_profile(1.0, 1.0, 4.0).value(labels)))
 
 
 class TestDiagnosticsSeries:
@@ -86,6 +115,15 @@ class TestBlowupFunctional:
         i_profile = blowup_functional(prof, cfg)
         i_field = blowup_functional(sample_radial(prof, g), cfg)
         assert i_field == pytest.approx(i_profile, rel=1e-4)
+
+    @pytest.mark.parametrize("prof", [TestFunctionFamily("random_monotone_spline", seed=6).sample(),
+                                      _marker_bump(32), bump_profile(2.0, 1.0, 4.0)],
+                             ids=["spline_seed6", "markers32_bump", "bump_L2"])
+    def test_matches_nested_quadrature(self, prof):
+        # the panels split at the profile's breakpoints, where f' or f'' jumps
+        cfg = BlowupConfig(0.25, prof.support_radius, P2)
+        want = _nested_quad_functional(prof, cfg)
+        assert blowup_functional(prof, cfg) == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):

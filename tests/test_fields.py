@@ -59,8 +59,7 @@ class TestGrid:
     @pytest.mark.parametrize("n,N", [(2, 8), (2, 16), (2, 66), (2, 130), (3, 8), (3, 16), (3, 130)])
     def test_half_grid_symbols_bitwise(self, n, N):
         # the half-grid arrays are the full-grid ones cut to columns 0..N/2,
-        # bit for bit (N = 130: N/2 odd, N/3 not an integer; N = 66: mode
-        # N/3 reads N/3 + 1 ulp)
+        # bit for bit (N = 130: N/2 odd, N/3 not an integer; N = 66: 3 | N)
         g = make_grid(n, 4.0, N)
         fg = full_grid(g)
         kk = fg.magnitude
@@ -76,6 +75,16 @@ class TestGrid:
         for half, full in pairs:
             assert half.dtype == full.dtype
             assert np.array_equal(half, full[..., : N // 2 + 1])
+
+    def test_dealias_mask_keeps_modes_below_a_third(self):
+        # strictly |m| < N/3, so that the sum of two kept modes, |m| < 2N/3,
+        # aliases onto no kept mode; every even N, 1-D to 8192, 2-D to 1024
+        for n, sizes in ((1, range(8, 8193, 2)), (2, range(8, 1025, 2))):
+            for N in sizes:
+                m = np.abs(np.concatenate([np.arange(N // 2), np.arange(-(N // 2), 0)]))
+                keep = 3 * m < N
+                want = keep[: N // 2 + 1] if n == 1 else np.outer(keep, keep[: N // 2 + 1])
+                assert np.array_equal(make_grid(n, 1.0, N).half_dealias_mask, want), (n, N)
 
 
 class TestScalarField:

@@ -129,6 +129,43 @@ class TestSeries:
         assert self._jump(kernels._t3(np.full(3, p), q, p - 2.0 * q)) <= 1e-14
 
 
+class TestGaussPanels:
+    def test_per_panel_counts_exact_on_their_degree(self, rng):
+        # a k-point panel integrates every polynomial of degree 2k - 1 exactly
+        counts = rng.permutation(np.arange(1, 33))
+        lo = rng.uniform(-3.0, 3.0, 32)
+        hi = lo + rng.uniform(1e-3, 2.0, 32)
+        x, w = kernels.gauss_panels(lo, hi, counts)
+        assert len(x) == len(w) == counts.sum()
+        ends = np.cumsum(counts)
+        for k, a, b, xs, ws in zip(counts, lo, hi, np.split(x, ends[:-1]), np.split(w, ends[:-1])):
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            coef = rng.uniform(-1.0, 1.0, 2 * k)
+            j = np.arange(2 * k)
+            exact = half * np.sum(coef * (1.0 + (-1.0) ** j) / (j + 1.0))
+            got = np.dot(ws, np.polynomial.polynomial.polyval((xs - mid) / half, coef))
+            assert got == pytest.approx(exact, rel=1e-13, abs=1e-13 * half), k
+            assert np.all((xs > a) & (xs < b))
+
+    @pytest.mark.parametrize("k", [1, 16, 24, 32])
+    def test_one_count_is_the_inline_map(self, rng, k):
+        brk = np.sort(rng.uniform(0.0, 5.0, 40))
+        lo, hi = brk[:-1], brk[1:]
+        xg, wg = np.polynomial.legendre.leggauss(k)
+        x, w = kernels.gauss_panels(lo, hi, k)
+        assert np.array_equal(x, (0.5 * (hi - lo)[:, None] * xg + 0.5 * (hi + lo)[:, None]).ravel())
+        assert np.array_equal(w, (0.5 * (hi - lo)[:, None] * wg).ravel())
+
+
+class TestGradedBreaks:
+    def test_splits_at_breakpoints_and_grades_to_the_origin(self):
+        brk = kernels.graded_breaks(1.5, [0.3, 0.7 + 1e-9, 1.5, 2.0, -1.0])
+        assert brk[0] == 0.0 and brk[-1] == 1.5
+        assert np.all(np.diff(brk) > 0.0)
+        assert {0.3, 0.7 + 1e-9} <= set(brk)
+        assert brk[1] < 1e-10 * 1.5 <= brk[2]
+
+
 class TestScreeningWeight:
     def test_value_at_origin_is_one(self):
         p = Params(2, 1.0, 1.0)

@@ -80,6 +80,16 @@ class TestRhs:
         sp = np.abs(sfft.fftn(out.values))
         assert sp[~full_grid(grid96).dealias].max() <= 1e-12 * sp.max()
 
+    @pytest.mark.parametrize("N", [96, 98])
+    def test_product_of_kept_modes_does_not_alias(self, N):
+        # cos(32 pi y / 4) is mode 32 on [-4, 4).  Its products hold mode 64,
+        # which aliases to 64 - N: onto the mode -32 at N = 96, where 3 | N
+        # and mode N/3 must therefore be dropped, and onto -34 at N = 98
+        g = make_grid(2, 4.0, N)
+        rho = ScalarField(g, np.cos(32.0 * np.pi * g.coords[1] / 4.0))
+        sp = np.abs(sfft.rfftn(rhs(NdState(0.0, rho, P2)).values))
+        assert sp[0, 32] <= 1e-12 * g.size
+
 
 def oracle_advection(field, params):
     """The complex-FFT advection on the full grid: fftn, full-grid
