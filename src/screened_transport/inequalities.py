@@ -216,13 +216,17 @@ def certify_pointwise(f, params: Params, radii, tolerance: float = 1e-8) -> Cert
     """Check -u_r(r) >= pointwise_lower_bound at each radius.
 
     Slack is normalized per radius by (1 + |lhs|); the report's min_slack is
-    the worst normalized slack over the radii.
+    the worst normalized slack over the radii.  A side that is not finite
+    fails the cell: min_slack and min_ratio are -inf at the first such radius.
     """
     radii = np.asarray(radii, dtype=float)
     lhs = -radial_velocity(f, params, radii)
     worst = {"slack": np.inf, "ratio": np.inf, "at": None}
     for r, left in zip(radii, lhs):
         right = pointwise_lower_bound(f, params, float(r))
+        if not np.isfinite([left, right]).all():
+            worst = {"slack": -np.inf, "ratio": -np.inf, "at": float(r)}
+            break
         slack = (left - right) / (1.0 + abs(left))
         ratio = left / right if right > 0 else np.inf
         if slack < worst["slack"]:
@@ -277,12 +281,15 @@ def _bilinear_rhs(f, params: Params, delta: float, r, w) -> float:
 def certify_bilinear(f, params: Params, delta: float, tolerance: float = 1e-6) -> CertificateReport:
     """Check LHS >= RHS for the weighted bilinear inequality at one profile;
     reports ratio = LHS / RHS (passes when ratio >= 1 - tolerance).  Both
-    sides integrate on the nodes of the graded rule on [0, R]."""
+    sides integrate on the nodes of the graded rule on [0, R]; a side that is
+    not finite fails the cell with ratio and slack -inf."""
     brk = graded_breaks(f.support_radius, f.breakpoints)
     r, w = gauss_panels(brk[:-1], brk[1:], GRADED_POINTS)
     lhs = _bilinear_lhs(f, params, delta, r, w)
     rhs_ = _bilinear_rhs(f, params, delta, r, w)
-    if rhs_ <= 0:
+    if not np.isfinite([lhs, rhs_]).all():
+        ratio = slack = -np.inf
+    elif rhs_ <= 0:
         ratio = np.inf
         slack = lhs
     else:

@@ -12,7 +12,9 @@ hypergeometric functions of a small argument, summed as fixed power series
 (about 20-35 ns per point, against 150-200 ns for SciPy's general Gauss
 hypergeometric function, and within 4.4e-16 of mpmath).  Other n fall back
 to graded Gauss-Legendre panels.  Psi_n has an integrable logarithmic
-singularity at q = 1; callers must not place quadrature nodes exactly there.
+singularity at q = 1; n = 2 and n = 3 return a large finite value there (the
+log of (1 - q)^2 floored at 5e-324), and the radial rule keeps its nodes at
+least one ulp away from it.
 
 Every radial integral takes its nodes from `gauss_panels`; the weighted ones
 (I(t) and the certifier's) take their panels from `graded_breaks`.
@@ -94,8 +96,13 @@ def _t3(p, q, pm):
     out[small] = (4.0 / 3.0) / p[small] ** 2 * _series(_T3_SERIES, x[small] ** 2)
     big = ~small
     pb, qb, pmb = p[big], q[big], pm[big]
-    out[big] = (pb / (4.0 * qb ** 3)) * np.log((pb + 2.0 * qb) / np.maximum(pmb, 5e-324)) \
-        - 1.0 / qb ** 2
+    with np.errstate(over="ignore"):
+        log = np.log((pb + 2.0 * qb) / np.maximum(pmb, 5e-324))
+    # at q = 1 (pm = 0) the quotient overflows: the log of pm floored at
+    # 5e-324 keeps Psi_3 finite there, as ellipkm1's floor does Psi_2
+    over = np.isinf(log)
+    log[over] = np.log(pb[over] + 2.0 * qb[over]) - np.log(np.maximum(pmb[over], 5e-324))
+    out[big] = (pb / (4.0 * qb ** 3)) * log - 1.0 / qb ** 2
     return out
 
 

@@ -199,47 +199,74 @@ def screened_riesz_direct(f: ScalarField, params: Params, targets,
 # exact radial reduction
 # ---------------------------------------------------------------------------
 
-# the one radial rule: uniform background panels and their Gauss points,
-# halvings of the grading toward min(r, L), the fewest and most Gauss points
-# on a narrower panel, and the digits its Gauss rule aims for
-_BACKGROUND, _N_BACKGROUND, _DEPTH, _N_MIN, _N_NARROW, _DIGITS = 16, 16, 36, 4, 10, 16
+# the one radial rule: uniform background panels and their Gauss points, the
+# fewest and most Gauss points on a narrower panel, and the digits its Gauss
+# rule aims for
+_BACKGROUND, _N_BACKGROUND, _N_MIN, _N_NARROW, _DIGITS = 16, 16, 4, 10, 16
 # a panel this many times narrower than a background panel (a marker
 # interval, say) takes one point fewer; on 96- to 512-marker profiles the
 # error stays below 3e-13
 _SLIVER = 8
+# the two diagonal panels [r - h, r] and [r, r + h] map rho = r -+ h t^_POWER
+# and take _N_DIAGONAL Gauss points in t on [0, 1]: the map turns the log
+# singularity of Psi_n at rho = r into t^(_POWER - 1) log t
+_POWER, _N_DIAGONAL = 6, 16
+_T, _TW = gauss_panels(0.0, 1.0, _N_DIAGONAL)
+_DIAGONAL_NODES, _DIAGONAL_WEIGHTS = _T ** _POWER, _POWER * _T ** (_POWER - 1) * _TW
+# halvings of the grading toward the support's edge for targets beyond it;
+# a breakpoint closer than min(r, L) 2^-_EDGE_DEPTH to min(r, L) merges with it
+_EDGE_DEPTH = 36
 # Psi_n points per psi call: targets are evaluated in blocks of about this size
 _BLOCK = 4096
 
 
-def _radial_panels(x: np.ndarray, support: float, inner: np.ndarray):
+def _radial_panels(x: np.ndarray, support: float, inner: np.ndarray, a: float):
     """The panels of the radial rule at the targets x > 0, in target order:
-    the target each panel belongs to, its two ends and its number of Gauss
-    points.
+    the target each panel belongs to, its two ends, its number of Gauss
+    points, and -1 / +1 on the diagonal panel that ends / starts at its
+    target (0 elsewhere).
 
-    A target's breakpoints are the union of a uniform background, the
-    profile's inner breakpoints, and points at distances s 2^k from
-    s = min(x, support): toward s from both sides down to s 2^-_DEPTH (Psi_n
-    has its log singularity at rho = x), and outward.  When x >= support the
-    grading stops at the distance x - support.  Background-width panels get
-    _N_BACKGROUND points.  A narrower panel at distance d from x, of width
-    w, gets the fewest points (_N_MIN, one fewer on slivers, to _N_NARROW)
-    whose Gauss rule converges to _DIGITS digits at the rate
-    exp(-2 arccosh(1 + 2 d / w)) per point that the singularity allows.
+    A target's breakpoints are a uniform background, the profile's inner
+    breakpoints and s = min(x, support); a breakpoint within s 2^-_EDGE_DEPTH
+    of s merges with it.  A target inside the support gets the diagonal
+    panels [x - h, x] and [x, x + h] (Psi_n has its log singularity at
+    rho = x), with h the smallest of half a background width, a / 2, x / 2,
+    support - x and the distance to the nearest other inner breakpoint, and
+    breakpoints at x -+ h 2^k out to one background width.  Background
+    breakpoints closer to x than one background width are dropped, so that
+    none splits the diagonal panels or their grading.  (Past x / 2 and a / 2
+    the smooth part of the integrand has singularities at rho = 0 and at
+    rho = x +- i a, which would slow the diagonal rule.)  A target at or
+    beyond the support keeps the background and is graded toward the support
+    from inside, at support (1 - 2^-k) down to the distance
+    (x - support) / 2 or _EDGE_DEPTH halvings.  Background-width panels get
+    _N_BACKGROUND points and the diagonal panels _N_DIAGONAL.  Any other
+    panel at distance d from x, of width w, gets the fewest points (_N_MIN,
+    one fewer on slivers, to _N_NARROW) whose Gauss rule converges to
+    _DIGITS digits at the rate exp(-2 arccosh(1 + 2 d / w)) per point that
+    the singularity allows.
     """
-    s = np.minimum(x, support)[:, None]
-    octaves = int(np.ceil(np.log2(support / x.min()))) + 1 if x.min() < support else 0
-    toward = s * 2.0 ** -np.arange(1, _DEPTH + 1)
-    beyond = x[:, None] >= support
+    width = support / _BACKGROUND
+    xc = x[:, None]
+    s = np.minimum(xc, support)
+    beyond = xc >= support
+    merged = np.abs(inner - s) < s * 2.0 ** -_EDGE_DEPTH
+    gap = np.where(merged, np.inf, np.abs(inner - s)).min(axis=1, initial=np.inf)[:, None]
+    h = np.minimum(np.minimum(0.5 * min(width, a), 0.5 * xc), np.minimum(support - xc, gap))
+    h[beyond] = support
+    outward = h * 2.0 ** np.arange(int(np.ceil(np.log2(width / h.min()))) + 1)
+    toward = support * 2.0 ** -np.arange(1, _EDGE_DEPTH + 1)
+    background = np.linspace(0.0, support, _BACKGROUND + 1)
     brk = np.concatenate([
-        np.broadcast_to(np.linspace(0.0, support, _BACKGROUND + 1), (len(x), _BACKGROUND + 1)),
-        np.broadcast_to(inner, (len(x), len(inner))),
+        np.where(~beyond & (np.abs(background - s) < width) & (background > 0.0),
+                 support, background),
+        np.where(merged, support, inner),
         s,
-        np.where(beyond & (toward < 0.5 * (x[:, None] - support)), support, s - toward),
-        np.where(beyond, support, s + s * 2.0 ** np.arange(-_DEPTH, octaves)),
+        np.where(beyond | (outward > width), support, s - outward),
+        np.where(beyond | (outward > width), support, s + outward),
+        np.where(~beyond | (toward < 0.5 * (xc - support)), support, s - toward),
     ], axis=1)
-    # nothing but s itself within the finest grading width of s
-    near = (np.abs(brk - s) < s * 2.0 ** -_DEPTH) & (brk != s)
-    brk = np.sort(np.where(near | (brk > support), support, brk), axis=1)
+    brk = np.sort(np.clip(brk, 0.0, support), axis=1)
     w = np.diff(brk, axis=1)
     keep = w > 0.0
     owner = np.broadcast_to(np.arange(len(x))[:, None], w.shape)[keep]
@@ -250,7 +277,25 @@ def _radial_panels(x: np.ndarray, support: float, inner: np.ndarray):
         fewest = np.where(w * _SLIVER * _BACKGROUND <= support, _N_MIN - 1, _N_MIN)
         count = np.clip(np.ceil(_DIGITS * np.log(10.0) / (2.0 * per_point)), fewest, _N_NARROW)
     count[w >= 0.5 * support / _BACKGROUND] = _N_BACKGROUND
-    return owner, lo, hi, count.astype(int)
+    side = np.where(xo < support, (lo == xo).astype(int) - (hi == xo), 0)
+    count[side != 0] = _N_DIAGONAL
+    return owner, lo, hi, count.astype(int), side
+
+
+def _radial_nodes(lo, hi, count, side):
+    """Gauss nodes and weights of the panels; on a diagonal panel of width h
+    at the target x they are rho = x -+ h t^_POWER, kept at least one ulp
+    away from x, and h _POWER t^(_POWER - 1) w."""
+    rho, wt = gauss_panels(lo, hi, count)
+    diagonal = side != 0
+    k = np.count_nonzero(diagonal)
+    h = np.repeat((hi - lo)[diagonal], _N_DIAGONAL)
+    x = np.repeat(np.where(side > 0, lo, hi)[diagonal], _N_DIAGONAL)
+    step = np.maximum(h * np.tile(_DIAGONAL_NODES, k), np.spacing(x))
+    at = np.repeat(diagonal, count)
+    rho[at] = x + np.repeat(side[diagonal], _N_DIAGONAL) * step
+    wt[at] = h * np.tile(_DIAGONAL_WEIGHTS, k)
+    return rho, wt
 
 
 def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
@@ -263,20 +308,21 @@ def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
     negative wherever f is nondecreasing (the velocity points inward) and
     exactly zero at r = 0.  Each target is evaluated by one fixed rule
     (`_radial_panels`): 16 uniform background panels with 16 Gauss points,
-    split at the profile's `breakpoints` and graded geometrically toward
-    min(r, support) from both sides (depth 36) and outward at distances
-    r 2^k, with 3 to 10 points on every narrower panel: about 1,000 Psi_n
-    points per target on the shipped families and 2,500 on 512 markers.
-    Psi_n is evaluated once per block of targets of about _BLOCK points, and
-    each target is reduced over its own nodes, so its value is bit for bit
-    the same in any batch.  No error estimate is
+    split at the profile's `breakpoints`, and two diagonal panels
+    [r - h, r] and [r, r + h] on which rho = r -+ h t^6 takes 16 Gauss points
+    in t, graded outward at r -+ h 2^k to one background width, with 3 to 10
+    points on every narrower panel: 384 to 421 Psi_n points per target on
+    the shipped families, 1,520 on 384 markers and 1,920 on 512.  No node
+    lies on rho = r.  Psi_n is evaluated once per block of targets of about
+    _BLOCK points, and each target is reduced over its own nodes, so its
+    value is bit for bit the same in any batch.  No error estimate is
     returned.  Against nested adaptive quadrature split at the breakpoints
     the measured error is at most 3e-12 relative on the shipped families
-    (splines included) and on marker profiles, from r = 1e-6 to 40 and at
-    breakpoints +- 1e-9.  Where c = (a/r)^2 is small the two closed forms
-    of Psi_n cancel, up to about 1e-16 / c; `psi` integrates directly below
-    c ~ 1e-3, so at a = 0.1 the error peaks near 2.5e-13 at r ~ 3-4 and
-    stays below 1e-14 from r = 5 to 40.
+    (splines included) and on marker profiles, from r = 1e-6 to 40, at
+    breakpoints +- 1e-9 and at a = 0.02 to 4.  Where c = (a/r)^2 is small
+    the two closed forms of Psi_n cancel, up to about 1e-16 / c; `psi`
+    integrates directly below c ~ 1e-3, so at a = 0.1 the error peaks near
+    2.5e-13 at r ~ 3-4 and stays below 1e-14 from r = 5 to 40.
 
     Accepts a scalar or an array of radii; the scalar form returns a float.
     """
@@ -296,7 +342,7 @@ def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
     for c in range(0, len(live), chunk):
         idx = live[c:c + chunk]
         x = targets[idx]
-        owner, lo, hi, count = _radial_panels(x, L, inner)
+        owner, lo, hi, count, side = _radial_panels(x, L, inner, a)
         size = np.bincount(owner, weights=count).astype(int)
         # blocks of whole targets, cut where the running point count passes
         # a multiple of _BLOCK
@@ -304,7 +350,7 @@ def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
         for b in np.unique(block):
             mine = np.flatnonzero(block == b)
             keep = (owner >= mine[0]) & (owner <= mine[-1])
-            rho, wt = gauss_panels(lo[keep], hi[keep], count[keep])
+            rho, wt = _radial_nodes(lo[keep], hi[keep], count[keep], side[keep])
             xr = np.repeat(x[mine], size[mine])
             vals = psi(n, rho / xr, (a / xr) ** 2)
             f = wt * prof.derivative(rho) * rho ** n

@@ -174,6 +174,32 @@ class TestPointwise:
         f = shipped_families()[0].sample()
         assert pointwise_lower_bound(f, P2, 0.5) > 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_velocity_fails_and_names_radius(self, monkeypatch, bad):
+        # NaN compares false against every slack, so a NaN side used to pass
+        from screened_transport import inequalities
+
+        def broken(f, params, r):
+            out = np.asarray(radial_velocity(f, params, r), dtype=float).copy()
+            out[2] = bad
+            return out
+
+        monkeypatch.setattr(inequalities, "radial_velocity", broken)
+        f = shipped_families()[0].sample()
+        radii = np.geomspace(0.05, 2.0, 6)
+        rep = certify_pointwise(f, P2, radii)
+        assert not rep.passed
+        assert rep.min_slack == -np.inf
+        assert rep.worst_case["radius"] == radii[2]
+
+    def test_all_nan_velocity_fails(self, monkeypatch):
+        from screened_transport import inequalities
+        monkeypatch.setattr(inequalities, "radial_velocity",
+                            lambda f, params, r: np.full(np.shape(r), np.nan))
+        rep = certify_pointwise(shipped_families()[0].sample(), P2, [0.3, 0.8])
+        assert not rep.passed
+        assert rep.worst_case["radius"] == 0.3
+
 
 class TestBilinear:
     def test_bump_ratio_exceeds_one(self):
@@ -192,6 +218,15 @@ class TestBilinear:
         prof = RadialProfile(np.linspace(0, 1, 9), np.full(9, -0.2))
         rep = certify_bilinear(prof, P2, 0.25)
         assert rep.passed
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_velocity_fails(self, monkeypatch, bad):
+        from screened_transport import inequalities
+        monkeypatch.setattr(inequalities, "radial_velocity",
+                            lambda f, params, r: np.full(np.shape(r), bad))
+        rep = certify_bilinear(shipped_families()[0].sample(), P2, 0.25)
+        assert not rep.passed
+        assert rep.min_ratio == -np.inf
 
     def test_report_serializes(self, tmp_path):
         import json

@@ -71,6 +71,26 @@ class TestPsi:
             assert np.array_equal(vec, [psi(n, q[i:i + 1], c[i:i + 1])[0] for i in range(len(QS))])
 
     @pytest.mark.parametrize("n", [2, 3])
+    def test_finite_at_q_one(self, n):
+        # the log singularity is capped where pm = (1 - q)^2 is 0 (both
+        # closed forms floor pm at 5e-324), far above its neighbours' values
+        c = np.array([0.01, 1.0, 100.0])
+        at = psi(n, np.ones(3), c)
+        assert np.all(np.isfinite(at))
+        assert np.all(at > psi(n, np.full(3, 1.0 + 2.0 ** -52), c))
+
+    def test_t3_log_branch_unchanged_where_pm_positive(self, rng):
+        # the cap at pm = 0 leaves every other value of the log branch bit
+        # for bit the plain formula
+        q = np.concatenate([rng.uniform(0.3, 3.5, 5000), 1.0 + rng.normal(0.0, 1e-9, 5000)])
+        p = 1.0 + q * q + rng.uniform(0.0, 2.0, q.size)
+        pm = p - 2.0 * q
+        big = 2.0 * q / p >= 0.5
+        q, p, pm = q[big], p[big], pm[big]
+        plain = (p / (4.0 * q ** 3)) * np.log((p + 2.0 * q) / pm) - 1.0 / q ** 2
+        assert np.array_equal(kernels._t3(p, q, pm), plain)
+
+    @pytest.mark.parametrize("n", [2, 3])
     def test_makes_no_hyp2f1_call(self, n, monkeypatch):
         def refuse(*args):
             raise AssertionError("psi called scipy.special.hyp2f1")

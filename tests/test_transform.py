@@ -66,6 +66,20 @@ def _nested_quad_velocity(prof, n, a, r):
     return -total / (math.pi * r ** n)
 
 
+@pytest.fixture
+def psi_inputs(monkeypatch):
+    """The q arrays `radial_velocity` hands to `psi`, call by call."""
+    seen = []
+    psi = transform.psi
+
+    def recorded_psi(n, q, c):
+        seen.append(np.array(q))
+        return psi(n, q, c)
+
+    monkeypatch.setattr(transform, "psi", recorded_psi)
+    return seen
+
+
 @pytest.fixture(scope="module")
 def grid64():
     return make_grid(2, 4.0, 64)
@@ -293,10 +307,12 @@ class TestRadialVelocity:
         assert abs(direct[1]) <= 1e-8
 
     @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("a", [0.3, 4.0])
+    @pytest.mark.parametrize("a", [0.02, 0.3, 4.0])
     def test_matches_nested_quadrature(self, n, a):
         # an independent evaluation of the definition of u_r by adaptive
-        # quadrature in both variables (no kernels or transform code)
+        # quadrature in both variables (no kernels or transform code); at
+        # a = 0.02 the screened part of Psi_n varies on the scale a around
+        # rho = r, narrower than the diagonal panels would be without a / 2
         prof = bump_profile(1.0, 1.0, 3.0)
         for r in (0.4, 0.9, 2.5):
             want = _nested_quad_velocity(prof, n, a, r)
@@ -313,8 +329,8 @@ class TestRadialVelocity:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("r", [1e-6, 1e-3])
     def test_small_radius_matches_nested_quadrature(self, n, r):
-        # the grading toward r and outward from it reaches radii far below
-        # the background panels
+        # the diagonal panels and the grading outward from them reach radii
+        # far below the background panels
         prof = bump_profile(1.0, 1.0, 1.0)
         want = _nested_quad_velocity(prof, n, 1.0, r)
         got = radial_velocity(prof, Params(n, 1.0, 1.0), r)
@@ -322,12 +338,73 @@ class TestRadialVelocity:
 
     @pytest.mark.parametrize("offset", [-1e-9, 1e-9])
     def test_spline_next_to_breakpoint_matches_nested_quadrature(self, offset):
-        # f'' jumps at every knot of the monotone spline; the panels split there
+        # f'' jumps at every knot of the monotone spline; the panels split
+        # there, so the diagonal panels shrink to the knot's distance
         prof = TestFunctionFamily("random_monotone_spline", seed=6).sample()
         r = float(prof.breakpoints[4]) + offset
+        inner = np.asarray(prof.breakpoints[1:-1], dtype=float)
+        _, lo, hi, _, side = transform._radial_panels(np.array([r]), prof.support_radius,
+                                                      inner, 1.0)
+        assert np.count_nonzero(side) == 2
+        assert np.all((hi - lo)[side != 0] <= 1e-9 * (1.0 + 1e-6))
         want = _nested_quad_velocity(prof, 2, 1.0, r)
         got = radial_velocity(prof, Params(2, 1.0, 1.0), r)
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_at_marker_matches_nested_quadrature(self):
+        # a profile on 32 markers, as the characteristics solver builds it:
+        # every marker interval is a panel, and at a marker the diagonal
+        # panels are as wide as the nearer marker interval
+        from screened_transport import RadialProfile
+        from screened_transport.radial import blended_markers
+        X = blended_markers(32, 1.0)
+        prof = RadialProfile(X, bump_profile(1.0, 1.0, 4.0).value(X))
+        r = float(X[20])
+        want = _nested_quad_velocity(prof, 2, 1.0, r)
+        got = radial_velocity(prof, Params(2, 1.0, 1.0), r)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("r", [1.1 + 5e-4, 1.125])
+    def test_next_to_background_break_matches_nested_quadrature(self, r):
+        # spline seed 6 has support 1.6, so 1.1 is a background breakpoint;
+        # one that split the diagonal panel would leave a 10-point panel
+        # next to the singularity (an error of 2.9e-5 at r = 1.125)
+        prof = TestFunctionFamily("random_monotone_spline", seed=6).sample()
+        want = _nested_quad_velocity(prof, 2, 1.0, r)
+        got = radial_velocity(prof, Params(2, 1.0, 1.0), r)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_no_node_on_the_diagonal(self, n, psi_inputs):
+        # r -+ h t^6 rounds to r at the smallest t once h < r / 200; next to
+        # a breakpoint h is the distance to it (1e-9), or the breakpoint
+        # merges with r (1e-12); no node may land on r, where Psi_n is
+        # singular
+        prof = TestFunctionFamily("random_monotone_spline", seed=11).sample()
+        knots = np.asarray(prof.breakpoints[1:-1], dtype=float)
+        r = np.concatenate([knots - 1e-12, knots + 1e-12, knots - 1e-9, knots + 1e-9])
+        got = radial_velocity(prof, Params(n, 0.5, 1.0), r)
+        assert np.all(np.isfinite(got))
+        assert not np.any(np.concatenate(psi_inputs) == 1.0)
+
+    @pytest.mark.parametrize("r", [0.5, 1.2])
+    def test_n3_spline_matches_nested_quadrature(self, r):
+        # n = 3 at a = 0.5 on the spline of the pointwise certificate test
+        prof = TestFunctionFamily("random_monotone_spline", seed=11).sample()
+        want = _nested_quad_velocity(prof, 3, 0.5, r)
+        got = radial_velocity(prof, Params(3, 0.5, 1.0), r)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("prof", [bump_profile(1.0, 1.0, 2.0),
+                                      TestFunctionFamily("random_monotone_spline", seed=35).sample()],
+                             ids=["bump", "spline_seed35"])
+    def test_points_per_target_on_criterion_4_cells(self, prof, psi_inputs):
+        # the targets of a certification cell: the nodes of the graded rule
+        from screened_transport.kernels import GRADED_POINTS, gauss_panels, graded_breaks
+        brk = graded_breaks(prof.support_radius, prof.breakpoints)
+        r, _ = gauss_panels(brk[:-1], brk[1:], GRADED_POINTS)
+        radial_velocity(prof, Params(2, 1.0, 1.0), r)
+        assert sum(map(np.size, psi_inputs)) <= 500 * len(r)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("prof", [bump_profile(2.0, 1.0, 4.0),
@@ -341,7 +418,7 @@ class TestRadialVelocity:
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_psi_points_and_calls_per_block(self, monkeypatch):
-        # about 700 Psi_n points per target on the bump, evaluated in one
+        # about 400 Psi_n points per target on the bump, evaluated in one
         # psi call per block of targets (12 targets fit one panel chunk)
         calls = []
         psi = transform.psi
