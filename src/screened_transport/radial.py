@@ -9,20 +9,40 @@ initial values forever; the profile at any time is the monotone interpolant
 through (position, value).  Marker collision (a gap collapsing to a set
 fraction of its initial size) is the discrete signature of gradient blow-up.
 
+Values are constant along characteristics, so f'(rho) drho = f_0'(s) ds, and
+the velocity is integrated in the marker label s:
+
+    u_r(r_i) = -(1 / (pi r_i^n)) int_0^L f_0'(s) X(s)^n Psi_n(X(s) / r_i, (a / r_i)^2) ds,
+
+with X the flow map (the monotone cubic interpolant of labels -> current
+positions, so X(s_i) = r_i) and f_0 the datum.  The nodes in s are the
+radial rule of `transform` placed at the target labels and the datum's
+breakpoints (about 300 per target for the bump, at any marker count); they
+and the weights w_j f_0'(s_j) are built once per run.  A stage evaluates X
+at the fixed nodes and reduces by `transform._radial_sums`.  The flow map's
+knots (the labels) are not panel ends, and X is only C^1 there.  Against
+nested quadrature split at every label, on the same X and f_0', this costs
+at most 5.5e-6 relative at the gradient stop of a 32-marker run, 2.4e-5 at
+the innermost markers of a 96-marker run (1.1e-6 of max |u_r|), and 2e-7
+at t = 1.52 with 384 markers.
+
 `run_radial` drives `rk4.time_loop` and tests the gradient threshold after
 every step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.interpolate import PchipInterpolator
 
+from . import transform
 from .blowup import BlowupConfig, DiagnosticsSeries, blowup_functional
 from .fields import Params, RadialProfile
 from .rk4 import Stop, rk4, time_loop
-from .transform import radial_velocity
+# not called here: bench/tracing.py wraps radial.radial_velocity
+from .transform import radial_velocity  # noqa: F401
 
 __all__ = [
     "RadialState",
@@ -55,12 +75,22 @@ def blended_markers(M: int, support_radius: float) -> np.ndarray:
 @dataclass
 class RadialState:
     """Lagrangian markers: labels are the initial radii, positions follow the
-    flow, values never change (pure transport)."""
+    flow, values never change (pure transport).
+
+    `datum` is the initial profile f_0 (values are f_0 at the labels, which
+    span its support); the velocity integrates its derivative in the labels.
+    Without one it is the monotone cubic through (labels, values), whose
+    breakpoints are the labels.  The label nodes are built on first use and
+    shared by the states `dataclasses.replace` makes from this one with new
+    times and positions.
+    """
 
     time: float
     labels: np.ndarray
     positions: np.ndarray
     values: np.ndarray
+    datum: RadialProfile | None = None
+    _nodes: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not (len(self.labels) == len(self.positions) == len(self.values)):
@@ -69,6 +99,8 @@ class RadialState:
             raise ValueError("the first marker must sit at the origin")
         if np.any(np.diff(self.positions) <= 0.0):
             raise ValueError("positions must be strictly increasing")
+        if self.datum is None:
+            self.datum = RadialProfile(self.labels, self.values)
 
     @property
     def origin_value(self) -> float:
@@ -103,13 +135,38 @@ class RadialRunResult:
         return self.states[0][1]
 
 
-def radial_rhs(state: RadialState, params: Params) -> np.ndarray:
-    """Marker velocities: u_r of the current profile at the positions.
+def _label_nodes(state: RadialState, a: float) -> list:
+    """The label rule of `state`'s run: per block of targets (markers 1..M),
+    their marker indices, the nodes s_j, the products w_j f_0'(s_j) and the
+    number of nodes of each target.  Built once per (labels, datum, a) and
+    kept in the state."""
+    blocks = state._nodes.get(a)
+    if blocks is None:
+        labels, datum = state.labels, state.datum
+        rule = transform._radial_blocks(labels[1:], float(labels[-1]), datum.breakpoints, a)
+        blocks = state._nodes[a] = [(1 + mine, s, w * datum.derivative(s), size)
+                                    for mine, s, w, size in rule]
+    return blocks
 
-    Delegates to `radial_velocity`; the origin marker's velocity is exactly
-    zero.  For nondecreasing profiles every velocity is <= 0.
+
+def _velocity(state: RadialState, params: Params, positions: np.ndarray) -> np.ndarray:
+    """u_r at the markers when they sit at `positions`: the label integral
+    over the flow map labels -> positions.  The origin marker's is 0."""
+    flow = PchipInterpolator(state.labels, positions)
+    u = np.zeros_like(positions)
+    for idx, s, f, size in _label_nodes(state, params.a):
+        u[idx] = transform._radial_sums(params.n, params.a, positions[idx], flow(s), f, size)
+    return u
+
+
+def radial_rhs(state: RadialState, params: Params) -> np.ndarray:
+    """Marker velocities: u_r at the positions, integrated in the labels on
+    the run's fixed nodes (module docstring).
+
+    The origin marker's velocity is exactly zero.  For nondecreasing data
+    every velocity is <= 0.
     """
-    return radial_velocity(state.profile(), params, state.positions)
+    return _velocity(state, params, state.positions)
 
 
 def _collided(positions: np.ndarray, gaps0: np.ndarray) -> bool:
@@ -119,8 +176,9 @@ def _collided(positions: np.ndarray, gaps0: np.ndarray) -> bool:
 def step(state: RadialState, dt: float, params: Params, k1=None):
     """One classical RK4 advance of the marker positions under g * u_r.
 
-    Values are carried unchanged; the profile seen by each stage is rebuilt
-    from that stage's positions.  `k1` is g * u_r at the current positions
+    Values are carried unchanged; each stage integrates the velocity in the
+    labels over the flow map to that stage's positions, on the nodes fixed
+    for the run.  `k1` is g * u_r at the current positions
     when the caller already has it.  Returns (new_state, None) or
     (state, Stop.MARKERS_COLLIDED) when ordering is lost or a gap
     closes below the collision fraction of its initial size.
@@ -133,8 +191,7 @@ def step(state: RadialState, dt: float, params: Params, k1=None):
     def vel(pos):
         if np.any(np.diff(pos) <= 0.0):
             return None
-        prof = RadialProfile(pos, state.values)
-        return g * radial_velocity(prof, params, pos)
+        return g * _velocity(state, params, pos)
 
     if k1 is None:
         k1 = vel(state.positions)
@@ -175,7 +232,7 @@ def run_radial(initial: RadialProfile, params: Params, *,
     L = initial.support_radius
     labels = blended_markers(markers, L)
     values = np.asarray(initial.value(labels), dtype=float)
-    state = RadialState(0.0, labels, labels.copy(), values)
+    state = RadialState(0.0, labels, labels.copy(), values, initial)
     cfg = BlowupConfig(delta=delta, support_radius=L, params=params)
     if output_interval is None:
         output_interval = t_max / 200.0

@@ -218,6 +218,8 @@ _DIAGONAL_NODES, _DIAGONAL_WEIGHTS = _T ** _POWER, _POWER * _T ** (_POWER - 1) *
 _EDGE_DEPTH = 36
 # Psi_n points per psi call: targets are evaluated in blocks of about this size
 _BLOCK = 4096
+# below r_0 = _LINEAR min(a, support) the velocity is its linear term at r_0
+_LINEAR = 1e-60
 
 
 def _radial_panels(x: np.ndarray, support: float, inner: np.ndarray, a: float):
@@ -298,6 +300,42 @@ def _radial_nodes(lo, hi, count, side):
     return rho, wt
 
 
+def _radial_blocks(x: np.ndarray, support: float, breakpoints, a: float):
+    """The radial rule at the targets x > 0 (`_radial_panels`, split at the
+    `breakpoints` inside (0, support)) in blocks of whole targets, cut where
+    the running point count passes a multiple of _BLOCK.  Yields, per block,
+    the index of its targets in x, their nodes and weights laid end to end,
+    and the number of nodes of each target."""
+    inner = np.asarray(breakpoints, dtype=float)
+    inner = inner[(inner > 0.0) & (inner < support)]
+    owner, lo, hi, count, side = _radial_panels(x, support, inner, a)
+    size = np.bincount(owner, weights=count).astype(int)
+    block = (np.cumsum(size) - size) // _BLOCK
+    for b in np.unique(block):
+        mine = np.flatnonzero(block == b)
+        keep = (owner >= mine[0]) & (owner <= mine[-1])
+        rho, wt = _radial_nodes(lo[keep], hi[keep], count[keep], side[keep])
+        yield mine, rho, wt, size[mine]
+
+
+def _radial_sums(n: int, a: float, x: np.ndarray, rho: np.ndarray, f: np.ndarray,
+                 size: np.ndarray) -> np.ndarray:
+    """-(1 / (pi x_i^n)) sum_j f_j rho_j^n Psi_n(rho_j / x_i, (a / x_i)^2) for
+    each target x_i over its own size[i] nodes, the targets' nodes laid end
+    to end: the radial velocity once f_j carries the weight and f'.  One
+    `psi` call for all the nodes; each target's sum depends only on its own
+    nodes."""
+    xr = np.repeat(x, size)
+    vals = psi(n, rho / xr, (a / xr) ** 2)
+    f = f * rho ** n
+    out = np.empty(len(x))
+    end = 0
+    for i, k in enumerate(size):
+        start, end = end, end + k
+        out[i] = -np.dot(f[start:end], vals[start:end]) / (np.pi * x[i] ** n)
+    return out
+
+
 def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
     """Radial component u_r(r) of the transform of a radial profile.
 
@@ -314,15 +352,18 @@ def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
     points on every narrower panel: 384 to 421 Psi_n points per target on
     the shipped families, 1,520 on 384 markers and 1,920 on 512.  No node
     lies on rho = r.  Psi_n is evaluated once per block of targets of about
-    _BLOCK points, and each target is reduced over its own nodes, so its
-    value is bit for bit the same in any batch.  No error estimate is
-    returned.  Against nested adaptive quadrature split at the breakpoints
-    the measured error is at most 3e-12 relative on the shipped families
-    (splines included) and on marker profiles, from r = 1e-6 to 40, at
-    breakpoints +- 1e-9 and at a = 0.02 to 4.  Where c = (a/r)^2 is small
-    the two closed forms of Psi_n cancel, up to about 1e-16 / c; `psi`
-    integrates directly below c ~ 1e-3, so at a = 0.1 the error peaks near
-    2.5e-13 at r ~ 3-4 and stays below 1e-14 from r = 5 to 40.
+    _BLOCK points (`_radial_sums`, which the characteristics solver shares),
+    and each target is reduced over its own nodes, so its value is bit for
+    bit the same in any batch.  No error estimate is returned.  Against
+    nested adaptive quadrature split at the breakpoints the measured error
+    is at most 3e-12 relative on the shipped families (splines included) and
+    on marker profiles, from r = 1e-6 to 40, at breakpoints +- 1e-9 and at
+    a = 0.02 to 4.  Where c = (a/r)^2 is small the two closed forms of Psi_n
+    cancel, up to about 1e-16 / c; `psi` integrates directly below
+    c ~ 1e-3, so at a = 0.1 the error peaks near 2.5e-13 at r ~ 3-4 and
+    stays below 1e-14 from r = 5 to 40.  u_r is odd and smooth at the
+    origin, so below r_0 = _LINEAR min(a, L) (where (a/r)^2 would overflow)
+    it is the linear term r u_r(r_0) / r_0.
 
     Accepts a scalar or an array of radii; the scalar form returns a float.
     """
@@ -333,31 +374,18 @@ def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
     n, a = params.n, params.a
     out = np.zeros_like(targets)
     L = prof.support_radius
-    inner = np.asarray(prof.breakpoints, dtype=float)
-    inner = inner[(inner > 0.0) & (inner < L)]
     live = np.flatnonzero(targets > 0.0)
+    r0 = _LINEAR * min(a, L)
     # a target has at least the background's points, so the panels are
     # built for as many targets as one block could hold
     chunk = _BLOCK // (_BACKGROUND * _N_BACKGROUND)
     for c in range(0, len(live), chunk):
         idx = live[c:c + chunk]
-        x = targets[idx]
-        owner, lo, hi, count, side = _radial_panels(x, L, inner, a)
-        size = np.bincount(owner, weights=count).astype(int)
-        # blocks of whole targets, cut where the running point count passes
-        # a multiple of _BLOCK
-        block = (np.cumsum(size) - size) // _BLOCK
-        for b in np.unique(block):
-            mine = np.flatnonzero(block == b)
-            keep = (owner >= mine[0]) & (owner <= mine[-1])
-            rho, wt = _radial_nodes(lo[keep], hi[keep], count[keep], side[keep])
-            xr = np.repeat(x[mine], size[mine])
-            vals = psi(n, rho / xr, (a / xr) ** 2)
-            f = wt * prof.derivative(rho) * rho ** n
-            end = 0
-            for i in mine:
-                start, end = end, end + size[i]
-                out[idx[i]] = -np.dot(f[start:end], vals[start:end]) / (np.pi * x[i] ** n)
+        x = np.maximum(targets[idx], r0)
+        for mine, rho, wt, size in _radial_blocks(x, L, prof.breakpoints, a):
+            out[idx[mine]] = _radial_sums(n, a, x[mine], rho, wt * prof.derivative(rho), size)
+    tiny = live[targets[live] < r0]
+    out[tiny] = targets[tiny] * (out[tiny] / r0)
     return float(out[0]) if scalar else out
 
 

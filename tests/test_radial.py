@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.interpolate import PchipInterpolator
 
 from screened_transport import (
     Params,
@@ -11,7 +15,8 @@ from screened_transport import (
     radial_velocity,
     run_radial,
 )
-from screened_transport import radial
+from screened_transport import radial, transform
+from screened_transport.kernels import psi
 from screened_transport.radial import RadialState, blended_markers, step
 
 
@@ -52,12 +57,47 @@ class TestRadialRhs:
         assert v[0] == 0.0
         assert np.all(v[1:] < 0.0)
 
-    def test_delegates_to_radial_velocity(self):
-        state = make_state(bump_profile(1.0, 1.0, 1.0))
+    @pytest.mark.parametrize("datum", [bump_profile(1.0, 1.0, 4.0), None],
+                             ids=["bump", "markers"])
+    def test_time_zero_matches_radial_velocity(self, datum):
+        # at t = 0 the flow map is the identity, so the label rule is the
+        # radial rule on the datum at the labels; without a datum the state
+        # takes the monotone cubic through its markers
+        labels = blended_markers(64, 1.0)
+        values = bump_profile(1.0, 1.0, 4.0).value(labels)
+        state = RadialState(0.0, labels, labels.copy(), values, datum)
         v = radial_rhs(state, P2)
-        i = len(v) // 2
-        direct = radial_velocity(state.profile(), P2, float(state.positions[i]))
-        assert v[i] == direct
+        want = radial_velocity(state.datum, P2, labels)
+        assert v[0] == 0.0
+        assert np.all(np.abs(v[1:] - want[1:]) <= 1e-13 * np.abs(want[1:]))
+
+    def test_label_rule_matches_nested_quadrature_at_gradient_stop(self):
+        # the flow map's knots (the labels) are not panel ends of the label
+        # rule, so on the crushed core of a 32-marker run at its gradient
+        # stop (gap ratio 4e-4) it carries an error of at most 5.5e-6; the
+        # reference splits at every label, on the same flow map and f_0'
+        datum = bump_profile(1.0, 1.0, 4.0)
+        res = run_radial(datum, P2, t_max=5.0, markers=32, output_interval=0.5)
+        assert res.stop_reason is Stop.GRADIENT_THRESHOLD
+        _, state = res.states[-1]
+        v = radial_rhs(state, P2)
+        flow = PchipInterpolator(state.labels, state.positions)
+        worst = 0.0
+        for i in [1, 2, 3, 4, 5, 6, 8, 12, 20, 31]:
+            r = float(state.positions[i])
+
+            def integrand(s):
+                x = float(flow(s))
+                return float(datum.derivative(np.array([s]))[0]) * x ** 2 \
+                    * float(psi(2, np.array([x / r]), 1.0 / r ** 2)[0])
+
+            total = sum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12,
+                                       limit=200)[0]
+                        for lo, hi in zip(state.labels[:-1], state.labels[1:]))
+            want = -total / (math.pi * r ** 2)
+            worst = max(worst, abs(v[i] - want) / abs(want))
+        print(f"label rule against nested quad at t = {state.time:.4f}: {worst:.2e}")
+        assert worst <= 1e-5
 
 
 class TestStep:
@@ -138,7 +178,7 @@ class TestRunRadial:
     def test_four_velocity_evaluations_per_step(self, monkeypatch):
         # the velocity that sets the CFL step is also RK4's first stage
         calls = {"velocity": 0, "steps": 0}
-        velocity, step_ = radial.radial_velocity, radial.step
+        velocity, step_ = radial._velocity, radial.step
 
         def counted_velocity(*args, **kwargs):
             calls["velocity"] += 1
@@ -148,12 +188,48 @@ class TestRunRadial:
             calls["steps"] += 1
             return step_(*args, **kwargs)
 
-        monkeypatch.setattr(radial, "radial_velocity", counted_velocity)
+        monkeypatch.setattr(radial, "_velocity", counted_velocity)
         monkeypatch.setattr(radial, "step", counted_step)
         run_radial(bump_profile(1.0, 1.0, 4.0), P2, t_max=0.15, markers=24,
                    output_interval=0.01)
         assert calls["steps"] > 0
         assert calls["velocity"] == 4 * calls["steps"]
+
+    def test_label_nodes_built_once_per_run(self, monkeypatch):
+        # the panels in the labels are laid once per run, not once per stage
+        calls = []
+        panels = transform._radial_panels
+
+        def counted_panels(*args, **kwargs):
+            calls.append(len(args[0]))
+            return panels(*args, **kwargs)
+
+        monkeypatch.setattr(transform, "_radial_panels", counted_panels)
+        res = run_radial(bump_profile(1.0, 1.0, 4.0), P2, t_max=0.15, markers=24,
+                         output_interval=0.01)
+        assert res.states[-1][0] >= 0.15
+        assert calls == [23]
+
+    def test_marker_convergence(self):
+        # the positions at t = 0.6 converge at third order in the marker
+        # count: the labels of M = 49, 97 and 193 are every 8th, 4th and 2nd
+        # label of M = 385, against which they are measured
+        datum = bump_profile(1.0, 1.0, 4.0)
+        final = {}
+        for M in (49, 97, 193, 385):
+            res = run_radial(datum, P2, t_max=0.6, gradient_factor=np.inf, markers=M,
+                             output_interval=0.6, snapshot_times=[0.6])
+            assert res.stop_reason is Stop.TIME_LIMIT
+            final[M] = dict(res.states)[0.6]
+        ref = final[385]
+        errors = []
+        for M in (49, 97, 193):
+            every = 384 // (M - 1)
+            assert np.array_equal(ref.labels[::every], final[M].labels)
+            errors.append(float(np.max(np.abs(final[M].positions - ref.positions[::every]))))
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        print(f"marker convergence at t = 0.6: errors {errors}, orders {orders}")
+        assert np.all(orders >= 2.7)
 
     @pytest.mark.parametrize("cfl", [1.5, -0.2, 0.0, 1.0])
     def test_rejects_bad_cfl(self, cfl):

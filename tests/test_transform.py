@@ -438,6 +438,23 @@ class TestRadialVelocity:
         assert len(calls) <= -(-sum(calls) // transform._BLOCK)
         assert max(calls) <= transform._BLOCK + 1300
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tiny_radius_is_the_linear_term(self, n):
+        # (a / r)^2 overflows below about 1e-154 a, and the grading's level
+        # count at r = 1e-320; u_r is odd and smooth at the origin, so there
+        # it is r times its slope, which u_r(1e-30) / 1e-30 gives to 1e-15
+        prof = bump_profile(1.0, 1.0, 1.0)
+        p = Params(n, 1.0, 1.0)
+        slope = radial_velocity(prof, p, 1e-30) / 1e-30
+        r = np.array([1e-200, 1e-300, 1e-320, 5e-324])
+        got = radial_velocity(prof, p, r)
+        assert np.all(np.isfinite(got))
+        assert got[:2] == pytest.approx(slope * r[:2], rel=1e-14, abs=0.0)
+        # subnormal radii: the product rounds to the subnormal grid
+        assert np.all(np.abs(got[2:] - slope * r[2:]) <= 2.0 * 5e-324)
+        assert np.all(got < 0.0)
+        assert [radial_velocity(prof, p, x) for x in r] == list(got)
+
     def test_rejects_negative_radius(self):
         p = Params(2, 1.0, 1.0)
         with pytest.raises(ValueError):
