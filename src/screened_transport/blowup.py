@@ -193,13 +193,6 @@ def riccati_check(series: DiagnosticsSeries, cfg: BlowupConfig,
 # structural checks
 # ---------------------------------------------------------------------------
 
-def _monotone_violation(radii, means):
-    drops = np.diff(means)
-    worst = float(min(drops.min(initial=0.0), 0.0))
-    where = float(radii[int(np.argmin(drops))]) if len(drops) else 0.0
-    return -worst, where
-
-
 def structural_checks(snapshots, rho0: ScalarField, cfg: BlowupConfig,
                       window_end: float | None = None,
                       origin_tol: float = 1e-6,
@@ -236,9 +229,8 @@ def structural_checks(snapshots, rho0: ScalarField, cfg: BlowupConfig,
         spread = g.orbit_spread(v)
         if spread > worst["angular"][0]:
             worst["angular"] = (spread, t)
-        radii, means = g.radial_average(v)
-        viol, _ = _monotone_violation(radii, means)
-        viol /= rng
+        _, means = g.radial_average(v)
+        viol = -float(np.diff(means).min(initial=0.0)) / rng
         if viol > worst["monotone"][0]:
             worst["monotone"] = (viol, t)
     tols = {"origin": origin_tol, "support": support_tol,

@@ -63,6 +63,25 @@ def _int_list(s):
     return [int(x) for x in s.replace(",", " ").split()]
 
 
+def _checked(parse, ok, what):
+    """`parse`, then a ValueError unless `ok` holds for the parsed value."""
+    def check(s):
+        v = parse(s)
+        if not ok(v):
+            raise ValueError(f"must be {what}, got {s.strip()!r}")
+        return v
+    return check
+
+
+_markers = _checked(_int, lambda v: v >= 2, ">= 2")
+_sweep_a = _checked(_float_list, lambda v: v and min(v) > 0.0, "a nonempty list of positive values")
+_sweep_delta = _checked(_float_list, lambda v: v and all(-1.0 < d < 1.0 for d in v),
+                        "a nonempty list of values in (-1, 1)")
+_seeds = _checked(_int_list, lambda v: min(v, default=0) >= 0, "nonnegative")
+_limit_a = _checked(_float_list, lambda v: min(v, default=0.0) >= 0.0 and v == sorted(v),
+                    "nonnegative and ascending")
+
+
 def _str(s):
     return s.strip()
 
@@ -123,7 +142,7 @@ _SCHEMAS = {
             "sharpness": (_pos_float, False, 4.0),
         },
         "markers": {
-            "count": (_int, False, 512),
+            "count": (_markers, False, 512),
         },
         "stop": {
             "t_max": (_pos_float, False, 10.0),
@@ -139,9 +158,9 @@ _SCHEMAS = {
     "inequality_sweep": {
         **_COMMON,
         "sweep": {
-            "a_values": (_float_list, False, [0.25, 0.5, 1.0, 2.0, 4.0]),
-            "delta_values": (_float_list, False, [-0.5, -0.25, 0.0, 0.25, 0.5]),
-            "spline_seeds": (_int_list, False, list(range(8))),
+            "a_values": (_sweep_a, False, [0.25, 0.5, 1.0, 2.0, 4.0]),
+            "delta_values": (_sweep_delta, False, [-0.5, -0.25, 0.0, 0.25, 0.5]),
+            "spline_seeds": (_seeds, False, list(range(8))),
             "radii_per_decade": (_int, False, 7),
         },
     },
@@ -158,7 +177,7 @@ _SCHEMAS = {
             "sharpness": (_pos_float, False, 2.0),
         },
         "sweep": {
-            "a_values": (_float_list, False, [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 51.0]),
+            "a_values": (_limit_a, False, [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 51.0]),
         },
     },
 }

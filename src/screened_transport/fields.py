@@ -60,6 +60,15 @@ class Params:
             raise ValueError(f"gravity must be positive, got {self.g}")
 
 
+def _classes(key: np.ndarray):
+    """Stable sort order of `key`, the start of each run of equal keys in
+    that order, and the key of each run."""
+    order = np.argsort(key, kind="stable")
+    sk = key[order]
+    starts = np.flatnonzero(np.concatenate([[True], sk[1:] != sk[:-1]]))
+    return order, starts, sk[starts]
+
+
 class Grid:
     """Uniform periodic grid on [-half_width, half_width)^n with N points per axis.
 
@@ -166,20 +175,19 @@ class Grid:
         i0 = int(np.argmin(np.abs(self.axis_coords)))
         return (i0,) * self.n
 
+    def _index_offsets(self) -> np.ndarray:
+        """(n, size) integer lattice offsets of every point from the origin."""
+        off = np.arange(self.N, dtype=np.int64) - self.origin_index[0]
+        return np.stack([m.ravel() for m in np.meshgrid(*([off] * self.n), indexing="ij")])
+
     @cached_property
     def _orbit_sort(self):
         # orbits of the lattice symmetry group (coordinate permutations and
         # sign flips about the origin); key = sorted absolute index offsets
-        i0 = self.origin_index[0]
-        off = np.abs(np.arange(self.N) - i0).astype(np.int64)
-        mesh = np.meshgrid(*([off] * self.n), indexing="ij")
-        stacked = np.sort(np.stack([m.ravel() for m in mesh], axis=0), axis=0)
         key = np.zeros(self.size, dtype=np.int64)
-        for row in stacked:
+        for row in np.sort(np.abs(self._index_offsets()), axis=0):
             key = key * self.N + row
-        order = np.argsort(key, kind="stable")
-        sk = key[order]
-        starts = np.flatnonzero(np.concatenate([[True], sk[1:] != sk[:-1]]))
+        order, starts, _ = _classes(key)
         return order, starts
 
     def orbit_spread(self, values: np.ndarray) -> float:
@@ -190,17 +198,11 @@ class Grid:
 
     @cached_property
     def _radius_classes(self):
-        # equal-|x| classes (finer than symmetry orbits), for radial averages
-        i0 = self.origin_index[0]
-        off = (np.arange(self.N) - i0).astype(np.int64)
-        mesh = np.meshgrid(*([off] * self.n), indexing="ij")
-        r2 = sum(m.ravel() ** 2 for m in mesh)
-        order = np.argsort(r2, kind="stable")
-        sr = r2[order]
-        starts = np.flatnonzero(np.concatenate([[True], sr[1:] != sr[:-1]]))
-        counts = np.diff(np.concatenate([starts, [len(sr)]]))
-        radii = np.sqrt(sr[starts].astype(float)) * self.spacing
-        return order, starts, counts, radii
+        # equal-|x| classes, for radial averages: unions of symmetry orbits,
+        # so coarser than they are (457 classes against 561 orbits at N = 64)
+        order, starts, r2 = _classes((self._index_offsets() ** 2).sum(axis=0))
+        counts = np.diff(np.append(starts, self.size))
+        return order, starts, counts, np.sqrt(r2.astype(float)) * self.spacing
 
     def radial_average(self, values: np.ndarray):
         """Average `values` over equal-radius lattice classes.

@@ -203,10 +203,6 @@ def screened_riesz_direct(f: ScalarField, params: Params, targets,
 # fewest and most Gauss points on a narrower panel, and the digits its Gauss
 # rule aims for
 _BACKGROUND, _N_BACKGROUND, _N_MIN, _N_NARROW, _DIGITS = 16, 16, 4, 10, 16
-# a panel this many times narrower than a background panel (a marker
-# interval, say) takes one point fewer; on 96- to 512-marker profiles the
-# error stays below 3e-13
-_SLIVER = 8
 # the two diagonal panels [r - h, r] and [r, r + h] map rho = r -+ h t^_POWER
 # and take _N_DIAGONAL Gauss points in t on [0, 1]: the map turns the log
 # singularity of Psi_n at rho = r into t^(_POWER - 1) log t
@@ -216,8 +212,9 @@ _DIAGONAL_NODES, _DIAGONAL_WEIGHTS = _T ** _POWER, _POWER * _T ** (_POWER - 1) *
 # halvings of the grading toward the support's edge for targets beyond it;
 # a breakpoint closer than min(r, L) 2^-_EDGE_DEPTH to min(r, L) merges with it
 _EDGE_DEPTH = 36
-# Psi_n points per psi call: targets are evaluated in blocks of about this size
-_BLOCK = 4096
+# targets per psi call: a target has at least the background's
+# _BACKGROUND * _N_BACKGROUND points, so a block holds at least 4,096
+_BLOCK = 16
 # below r_0 = _LINEAR min(a, support) the velocity is its linear term at r_0
 _LINEAR = 1e-60
 
@@ -243,10 +240,9 @@ def _radial_panels(x: np.ndarray, support: float, inner: np.ndarray, a: float):
     from inside, at support (1 - 2^-k) down to the distance
     (x - support) / 2 or _EDGE_DEPTH halvings.  Background-width panels get
     _N_BACKGROUND points and the diagonal panels _N_DIAGONAL.  Any other
-    panel at distance d from x, of width w, gets the fewest points (_N_MIN,
-    one fewer on slivers, to _N_NARROW) whose Gauss rule converges to
-    _DIGITS digits at the rate exp(-2 arccosh(1 + 2 d / w)) per point that
-    the singularity allows.
+    panel at distance d from x, of width w, gets the fewest points (_N_MIN
+    to _N_NARROW) whose Gauss rule converges to _DIGITS digits at the rate
+    exp(-2 arccosh(1 + 2 d / w)) per point that the singularity allows.
     """
     width = support / _BACKGROUND
     xc = x[:, None]
@@ -276,8 +272,7 @@ def _radial_panels(x: np.ndarray, support: float, inner: np.ndarray, a: float):
     xo = x[owner]
     with np.errstate(divide="ignore"):
         per_point = np.arccosh(1.0 + 2.0 * np.maximum(lo - xo, xo - lo - w) / w)
-        fewest = np.where(w * _SLIVER * _BACKGROUND <= support, _N_MIN - 1, _N_MIN)
-        count = np.clip(np.ceil(_DIGITS * np.log(10.0) / (2.0 * per_point)), fewest, _N_NARROW)
+        count = np.clip(np.ceil(_DIGITS * np.log(10.0) / (2.0 * per_point)), _N_MIN, _N_NARROW)
     count[w >= 0.5 * support / _BACKGROUND] = _N_BACKGROUND
     side = np.where(xo < support, (lo == xo).astype(int) - (hi == xo), 0)
     count[side != 0] = _N_DIAGONAL
@@ -302,20 +297,16 @@ def _radial_nodes(lo, hi, count, side):
 
 def _radial_blocks(x: np.ndarray, support: float, breakpoints, a: float):
     """The radial rule at the targets x > 0 (`_radial_panels`, split at the
-    `breakpoints` inside (0, support)) in blocks of whole targets, cut where
-    the running point count passes a multiple of _BLOCK.  Yields, per block,
-    the index of its targets in x, their nodes and weights laid end to end,
-    and the number of nodes of each target."""
+    `breakpoints` inside (0, support)) in blocks of _BLOCK targets.  Yields,
+    per block, the index of its targets in x, their nodes and weights laid
+    end to end, and the number of nodes of each target."""
     inner = np.asarray(breakpoints, dtype=float)
     inner = inner[(inner > 0.0) & (inner < support)]
-    owner, lo, hi, count, side = _radial_panels(x, support, inner, a)
-    size = np.bincount(owner, weights=count).astype(int)
-    block = (np.cumsum(size) - size) // _BLOCK
-    for b in np.unique(block):
-        mine = np.flatnonzero(block == b)
-        keep = (owner >= mine[0]) & (owner <= mine[-1])
-        rho, wt = _radial_nodes(lo[keep], hi[keep], count[keep], side[keep])
-        yield mine, rho, wt, size[mine]
+    for start in range(0, len(x), _BLOCK):
+        mine = np.arange(start, min(start + _BLOCK, len(x)))
+        owner, lo, hi, count, side = _radial_panels(x[mine], support, inner, a)
+        rho, wt = _radial_nodes(lo, hi, count, side)
+        yield mine, rho, wt, np.bincount(owner, weights=count).astype(int)
 
 
 def _radial_sums(n: int, a: float, x: np.ndarray, rho: np.ndarray, f: np.ndarray,
@@ -323,17 +314,11 @@ def _radial_sums(n: int, a: float, x: np.ndarray, rho: np.ndarray, f: np.ndarray
     """-(1 / (pi x_i^n)) sum_j f_j rho_j^n Psi_n(rho_j / x_i, (a / x_i)^2) for
     each target x_i over its own size[i] nodes, the targets' nodes laid end
     to end: the radial velocity once f_j carries the weight and f'.  One
-    `psi` call for all the nodes; each target's sum depends only on its own
-    nodes."""
+    `psi` call and one segment sum for the block; each target's sum depends
+    only on its own nodes."""
     xr = np.repeat(x, size)
-    vals = psi(n, rho / xr, (a / xr) ** 2)
-    f = f * rho ** n
-    out = np.empty(len(x))
-    end = 0
-    for i, k in enumerate(size):
-        start, end = end, end + k
-        out[i] = -np.dot(f[start:end], vals[start:end]) / (np.pi * x[i] ** n)
-    return out
+    terms = f * rho ** n * psi(n, rho / xr, (a / xr) ** 2)
+    return -np.add.reduceat(terms, np.cumsum(size) - size) / (np.pi * x ** n)
 
 
 def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
@@ -348,13 +333,13 @@ def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
     (`_radial_panels`): 16 uniform background panels with 16 Gauss points,
     split at the profile's `breakpoints`, and two diagonal panels
     [r - h, r] and [r, r + h] on which rho = r -+ h t^6 takes 16 Gauss points
-    in t, graded outward at r -+ h 2^k to one background width, with 3 to 10
-    points on every narrower panel: 384 to 421 Psi_n points per target on
-    the shipped families, 1,520 on 384 markers and 1,920 on 512.  No node
-    lies on rho = r.  Psi_n is evaluated once per block of targets of about
-    _BLOCK points (`_radial_sums`, which the characteristics solver shares),
-    and each target is reduced over its own nodes, so its value is bit for
-    bit the same in any batch.  No error estimate is returned.  Against
+    in t, graded outward at r -+ h 2^k to one background width, with 4 to 10
+    points on every narrower panel: 384 to 422 Psi_n points per target on
+    the shipped families, 1,727 on 384 markers and 2,243 on 512.  No node
+    lies on rho = r.  Psi_n is evaluated once per block of _BLOCK targets
+    (`_radial_sums`, which the characteristics solver shares), and each
+    target is reduced over its own nodes, so its value is bit for bit the
+    same in any batch.  No error estimate is returned.  Against
     nested adaptive quadrature split at the breakpoints the measured error
     is at most 3e-12 relative on the shipped families (splines included) and
     on marker profiles, from r = 1e-6 to 40, at breakpoints +- 1e-9 and at
@@ -376,14 +361,9 @@ def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
     L = prof.support_radius
     live = np.flatnonzero(targets > 0.0)
     r0 = _LINEAR * min(a, L)
-    # a target has at least the background's points, so the panels are
-    # built for as many targets as one block could hold
-    chunk = _BLOCK // (_BACKGROUND * _N_BACKGROUND)
-    for c in range(0, len(live), chunk):
-        idx = live[c:c + chunk]
-        x = np.maximum(targets[idx], r0)
-        for mine, rho, wt, size in _radial_blocks(x, L, prof.breakpoints, a):
-            out[idx[mine]] = _radial_sums(n, a, x[mine], rho, wt * prof.derivative(rho), size)
+    x = np.maximum(targets[live], r0)
+    for mine, rho, wt, size in _radial_blocks(x, L, prof.breakpoints, a):
+        out[live[mine]] = _radial_sums(n, a, x[mine], rho, wt * prof.derivative(rho), size)
     tiny = live[targets[live] < r0]
     out[tiny] = targets[tiny] * (out[tiny] / r0)
     return float(out[0]) if scalar else out

@@ -202,6 +202,26 @@ radii_per_decade = 3
 """
 
 
+@pytest.mark.parametrize("text, key", [
+    (RADIAL_SHORT.replace("count = 48", "count = 0"), "[markers] count"),
+    (RADIAL_SHORT.replace("count = 48", "count = 1"), "[markers] count"),
+    (RADIAL_SHORT.replace("count = 48", "count = -5"), "[markers] count"),
+    (SWEEP_TINY.replace("a_values = 1.0", "a_values = 0 1"), "[sweep] a_values"),
+    (SWEEP_TINY.replace("a_values = 1.0", "a_values ="), "[sweep] a_values"),
+    (SWEEP_TINY.replace("delta_values = 0.25", "delta_values = 1.5"), "[sweep] delta_values"),
+    (SWEEP_TINY.replace("spline_seeds = 0", "spline_seeds = -1"), "[sweep] spline_seeds"),
+    (LIMIT_SHORT.replace("a_values = 0.0", "a_values = -0.5"), "[sweep] a_values"),
+    (LIMIT_SHORT.replace("a_values = 0.0 0.5", "a_values = 0.5 0.0"), "[sweep] a_values"),
+], ids=["markers_0", "markers_1", "markers_-5", "sweep_a_0", "sweep_a_empty", "delta_1.5",
+        "seed_-1", "limit_a_negative", "limit_a_descending"])
+def test_validate_rejects_what_run_cannot_use(tmp_path, capsys, text, key):
+    # each value used to pass `validate` and then fail inside `run`
+    path = tmp_path / "c.ini"
+    path.write_text(text.format(out=tmp_path / "out"))
+    assert main(["validate", str(path)]) == EXIT_CODES["config_error"]
+    assert f"{key}: must be" in capsys.readouterr().err
+
+
 class TestSweepMode:
     def test_sweep_writes_certificates(self, tmp_path):
         cfg = parse_config(SWEEP_TINY.format(out=tmp_path / "sw"))

@@ -327,6 +327,23 @@ class TestRadialVelocity:
         assert np.array_equal(batch, [radial_velocity(f, p, x) for x in r])
 
     @pytest.mark.parametrize("n", [2, 3])
+    def test_block_sums_match_a_dot_per_target(self, n):
+        # one segment sum per block against a dot product over each
+        # target's own nodes: only the summation order differs
+        f = TestFunctionFamily("smoothed_step", (1.0, 0.7, 0.25)).sample()
+        x = np.geomspace(0.01, 3.0, 20)
+        L = f.support_radius
+        for mine, rho, wt, size in transform._radial_blocks(x, L, f.breakpoints, 0.5):
+            g = wt * f.derivative(rho)
+            got = transform._radial_sums(n, 0.5, x[mine], rho, g, size)
+            ends = np.cumsum(size)
+            for i, (xi, lo, hi) in enumerate(zip(x[mine], ends - size, ends)):
+                terms = g[lo:hi] * rho[lo:hi] ** n
+                want = -np.dot(terms, transform.psi(n, rho[lo:hi] / xi, (0.5 / xi) ** 2)) \
+                    / (np.pi * xi ** n)
+                assert got[i] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("r", [1e-6, 1e-3])
     def test_small_radius_matches_nested_quadrature(self, n, r):
         # the diagonal panels and the grading outward from them reach radii
@@ -419,24 +436,24 @@ class TestRadialVelocity:
 
     def test_psi_points_and_calls_per_block(self, monkeypatch):
         # about 400 Psi_n points per target on the bump, evaluated in one
-        # psi call per block of targets (12 targets fit one panel chunk)
+        # psi call per block of 16 targets; c = (a / r)^2 tells the targets
+        # of a call apart
         calls = []
         psi = transform.psi
 
         def counted_psi(n, q, c):
-            calls.append(np.size(q))
+            calls.append((np.size(q), np.unique(c).size))
             return psi(n, q, c)
 
         monkeypatch.setattr(transform, "psi", counted_psi)
-        radial_velocity(bump_profile(1.0, 1.0, 1.0), Params(2, 1.0, 1.0),
-                        np.array([0.0, 0.3, 0.9, 1.7]))
-        assert sum(calls) <= 3 * 800
-        assert len(calls) <= -(-sum(calls) // transform._BLOCK)
+        bump = bump_profile(1.0, 1.0, 1.0)
+        radial_velocity(bump, Params(2, 1.0, 1.0), np.array([0.0, 0.3, 0.9, 1.7]))
+        assert [k for _, k in calls] == [3]
+        assert calls[0][0] <= 3 * 800
         calls.clear()
-        radial_velocity(bump_profile(1.0, 1.0, 1.0), Params(2, 1.0, 1.0),
-                        np.geomspace(1e-6, 3.0, 12))
-        assert len(calls) <= -(-sum(calls) // transform._BLOCK)
-        assert max(calls) <= transform._BLOCK + 1300
+        radial_velocity(bump, Params(2, 1.0, 1.0), np.geomspace(1e-6, 3.0, 17))
+        assert [k for _, k in calls] == [16, 1]
+        assert calls[0][0] <= 16 * 800 and calls[1][0] <= 800
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_tiny_radius_is_the_linear_term(self, n):
