@@ -136,10 +136,10 @@ class RadialRunResult:
 
 
 def _label_nodes(state: RadialState, a: float) -> list:
-    """The label rule of `state`'s run: per block of 16 targets (markers 1..M),
-    their marker indices, the nodes s_j, the products w_j f_0'(s_j) and the
-    number of nodes of each target.  Built once per (labels, datum, a) and
-    kept in the state."""
+    """The label rule of `state`'s run: per block of `transform._BLOCK`
+    targets (markers 1..M), their marker indices, the nodes s_j, the
+    products w_j f_0'(s_j) and the number of nodes of each target.  Built
+    once per (labels, datum, a) and kept in the state."""
     blocks = state._nodes.get(a)
     if blocks is None:
         labels, datum = state.labels, state.datum

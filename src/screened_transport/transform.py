@@ -213,8 +213,11 @@ _DIAGONAL_NODES, _DIAGONAL_WEIGHTS = _T ** _POWER, _POWER * _T ** (_POWER - 1) *
 # a breakpoint closer than min(r, L) 2^-_EDGE_DEPTH to min(r, L) merges with it
 _EDGE_DEPTH = 36
 # targets per psi call: a target has at least the background's
-# _BACKGROUND * _N_BACKGROUND points, so a block holds at least 4,096
-_BLOCK = 16
+# _BACKGROUND * _N_BACKGROUND points, so a block holds at least 2,048, and
+# at most 5,224 on the certification sweep, which keeps psi's float64
+# temporaries below 64 KiB: glibc's malloc gives larger freed ones back to
+# the system, and every block would page-fault them in again
+_BLOCK = 8
 # below r_0 = _LINEAR min(a, support) the velocity is its linear term at r_0
 _LINEAR = 1e-60
 

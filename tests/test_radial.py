@@ -203,7 +203,7 @@ class TestRunRadial:
 
     def test_label_nodes_built_once_per_run(self, monkeypatch):
         # the panels in the labels are laid once per run, not once per stage:
-        # the 23 targets in one block of 16 and one of 7
+        # the 23 targets in two blocks of 8 and one of 7
         calls = []
         panels = transform._radial_panels
 
@@ -215,7 +215,7 @@ class TestRunRadial:
         res = run_radial(bump_profile(1.0, 1.0, 4.0), P2, t_max=0.15, markers=24,
                          output_interval=0.01)
         assert res.states[-1][0] >= 0.15
-        assert calls == [16, 7]
+        assert calls == [8, 8, 7]
 
     def test_marker_convergence(self):
         # the positions at t = 0.6 converge at third order in the marker
