@@ -243,9 +243,14 @@ def certify_pointwise(f, params: Params, radii, tolerance: float = 1e-8) -> Cert
 
 def _bilinear_lhs(f, params: Params, delta: float, r, w) -> float:
     """-int R_a f . grad f / |x|^{n+delta} dx by radial reduction on nodes r:
-    -omega_{n-1} int u_r(r) f'(r) r^{-1-delta} dr (exact on the support of f')."""
-    u = radial_velocity(f, params, r)
-    integrand = -u * f.derivative(r) * r ** (-1.0 - delta)
+    -omega_{n-1} int u_r(r) f'(r) r^{-1-delta} dr (exact on the support of f').
+    u_r is evaluated only at the nodes where f' != 0; elsewhere the integrand
+    is 0 whatever u_r is, so u stays 0 there."""
+    d = f.derivative(r)
+    u = np.zeros_like(r)
+    live = d != 0.0
+    u[live] = radial_velocity(f, params, r[live])
+    integrand = -u * d * r ** (-1.0 - delta)
     return sphere_area(params.n) * float(np.dot(w, integrand))
 
 

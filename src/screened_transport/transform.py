@@ -218,7 +218,14 @@ _EDGE_DEPTH = 36
 # temporaries below 64 KiB: glibc's malloc gives larger freed ones back to
 # the system, and every block would page-fault them in again
 _BLOCK = 8
-# below r_0 = _LINEAR min(a, support) the velocity is its linear term at r_0
+# targets per _radial_panels call, whose panels are then cut into blocks: its
+# cost is mostly per call (0.10 ms for 8 targets, 0.20 ms for 64), while the
+# panels of a whole call at once add 4 MB to the certification sweep's peak
+# memory
+_PANELS = 64
+# below r_0 = _LINEAR min(a, support) the velocity is its linear term at r_0;
+# that is its limit only when f'(0) = 0, since otherwise u_r / r grows like
+# f'(0) log(1 / r) toward the origin
 _LINEAR = 1e-60
 
 
@@ -302,14 +309,21 @@ def _radial_blocks(x: np.ndarray, support: float, breakpoints, a: float):
     """The radial rule at the targets x > 0 (`_radial_panels`, split at the
     `breakpoints` inside (0, support)) in blocks of _BLOCK targets.  Yields,
     per block, the index of its targets in x, their nodes and weights laid
-    end to end, and the number of nodes of each target."""
+    end to end, and the number of nodes of each target.  The panels are laid
+    for _PANELS targets at a time and cut into blocks by owner; a target's
+    panels depend only on the target, so the blocks are the same bits as
+    panels laid per block."""
     inner = np.asarray(breakpoints, dtype=float)
     inner = inner[(inner > 0.0) & (inner < support)]
-    for start in range(0, len(x), _BLOCK):
-        mine = np.arange(start, min(start + _BLOCK, len(x)))
-        owner, lo, hi, count, side = _radial_panels(x[mine], support, inner, a)
-        rho, wt = _radial_nodes(lo, hi, count, side)
-        yield mine, rho, wt, np.bincount(owner, weights=count).astype(int)
+    for start in range(0, len(x), _PANELS):
+        chunk = x[start:start + _PANELS]
+        owner, lo, hi, count, side = _radial_panels(chunk, support, inner, a)
+        first = np.arange(0, len(chunk), _BLOCK)
+        cuts = np.append(np.searchsorted(owner, first), len(owner))
+        for b, i, j in zip(first, cuts[:-1], cuts[1:]):
+            rho, wt = _radial_nodes(lo[i:j], hi[i:j], count[i:j], side[i:j])
+            yield (start + np.arange(b, min(b + _BLOCK, len(chunk))), rho, wt,
+                   np.bincount(owner[i:j] - b, weights=count[i:j]).astype(int))
 
 
 def _radial_sums(n: int, a: float, x: np.ndarray, rho: np.ndarray, f: np.ndarray,
@@ -337,21 +351,27 @@ def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
     split at the profile's `breakpoints`, and two diagonal panels
     [r - h, r] and [r, r + h] on which rho = r -+ h t^6 takes 16 Gauss points
     in t, graded outward at r -+ h 2^k to one background width, with 4 to 10
-    points on every narrower panel: 384 to 422 Psi_n points per target on
-    the shipped families, 1,727 on 384 markers and 2,243 on 512.  No node
-    lies on rho = r.  Psi_n is evaluated once per block of _BLOCK targets
-    (`_radial_sums`, which the characteristics solver shares), and each
-    target is reduced over its own nodes, so its value is bit for bit the
-    same in any batch.  No error estimate is returned.  Against
+    points on every narrower panel: 384 to 422 Psi_n points per target
+    inside the support on the shipped families, 1,727 on 384 markers and
+    2,243 on 512.  Targets beyond the support keep the background and are
+    graded toward its edge instead, so the certification sweep's targets
+    carry 256 to 694 points.  No node lies on rho = r.  The panels are laid
+    for _PANELS (64) targets at a time and Psi_n is evaluated once per block
+    of _BLOCK (8) targets (`_radial_sums`, which the characteristics solver
+    shares); each target is reduced over its own nodes, so its value is bit
+    for bit the same in any batch.  No error estimate is returned.  Against
     nested adaptive quadrature split at the breakpoints the measured error
     is at most 3e-12 relative on the shipped families (splines included) and
     on marker profiles, from r = 1e-6 to 40, at breakpoints +- 1e-9 and at
     a = 0.02 to 4.  Where c = (a/r)^2 is small the two closed forms of Psi_n
     cancel, up to about 1e-16 / c; `psi` integrates directly below
     c ~ 1e-3, so at a = 0.1 the error peaks near 2.5e-13 at r ~ 3-4 and
-    stays below 1e-14 from r = 5 to 40.  u_r is odd and smooth at the
-    origin, so below r_0 = _LINEAR min(a, L) (where (a/r)^2 would overflow)
-    it is the linear term r u_r(r_0) / r_0.
+    stays below 1e-14 from r = 5 to 40.  u_r is odd at the origin, so below
+    r_0 = _LINEAR min(a, L) (where (a/r)^2 would overflow) it is the linear
+    term r u_r(r_0) / r_0.  That is its limit only for data with f'(0) = 0;
+    otherwise u_r / r carries a term in f'(0) log r (on spline seeds 0 and
+    35, with f'(0) about 1.0 and 4.4, u_r(r) / r at r = 1e-8 differs from
+    its value at 1e-15 by 43% and 49%).
 
     Accepts a scalar or an array of radii; the scalar form returns a float.
     """

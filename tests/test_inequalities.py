@@ -214,10 +214,40 @@ class TestBilinear:
         rep = certify_bilinear(f, P2, delta)
         assert rep.min_ratio >= 1.0 - 1e-6
 
-    def test_constant_profile_degenerates(self):
+    def test_constant_profile_degenerates(self, monkeypatch):
+        # f' = 0 at every node, so no velocity is evaluated
+        from screened_transport import inequalities
+        targets = []
+
+        def counted(f, params, r):
+            targets.append(np.size(r))
+            return radial_velocity(f, params, r)
+
+        monkeypatch.setattr(inequalities, "radial_velocity", counted)
         prof = RadialProfile(np.linspace(0, 1, 9), np.full(9, -0.2))
         rep = certify_bilinear(prof, P2, 0.25)
         assert rep.passed
+        assert sum(targets) == 0
+
+    @pytest.mark.parametrize("fam", shipped_families((0, 6, 35)),
+                             ids=["bump", "bump_L1.5", "step", "ramp", "spline_seed0",
+                                  "spline_seed6", "spline_seed35"])
+    def test_skipping_zero_slope_nodes_keeps_the_bits(self, monkeypatch, fam):
+        # the left side with u_r at every graded node, as before the skip
+        from screened_transport import inequalities
+        from screened_transport.blowup import sphere_area
+
+        def every_node(f, params, delta, r, w):
+            u = radial_velocity(f, params, r)
+            integrand = -u * f.derivative(r) * r ** (-1.0 - delta)
+            return sphere_area(params.n) * float(np.dot(w, integrand))
+
+        f = fam.sample()
+        cells = [(Params(2, a, 1.0), delta) for a in (0.5, 1.0) for delta in (-0.5, 0.25)]
+        got = [certify_bilinear(f, p, delta).min_ratio for p, delta in cells]
+        monkeypatch.setattr(inequalities, "_bilinear_lhs", every_node)
+        want = [certify_bilinear(f, p, delta).min_ratio for p, delta in cells]
+        assert got == want
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_velocity_fails(self, monkeypatch, bad):

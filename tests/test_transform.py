@@ -48,7 +48,9 @@ def _nested_quad_velocity(prof, n, a, r):
     split at the profile's breakpoints (where f'' jumps), at the log
     singularity rho = r and at r 2^k; a breakpoint within r/4 of r adds the
     points r + (b - r) 2^k, so that no interval sees the singularity much
-    closer than its own length."""
+    closer than its own length.  Each piece aims at 1e-12 relative, with an
+    absolute floor of 1e-14 times a first pass at 1e-6 over all pieces, so
+    that a piece whose integral nearly vanishes does not chase roundoff."""
     def integrand(rho):
         return float(prof.derivative(np.array([rho]))[0]) * rho ** n \
             * _nested_quad_psi(n, rho / r, (a / r) ** 2)
@@ -61,8 +63,12 @@ def _nested_quad_velocity(prof, n, a, r):
         if abs(gap) < 0.25 * r:
             pts |= {r + gap * 2.0 ** k for k in range(1, 60) if abs(gap) * 2.0 ** k < 0.5 * r}
     pts = sorted(pts)
-    total = sum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
-                for lo, hi in zip(pts[:-1], pts[1:]))
+    pieces = list(zip(pts[:-1], pts[1:]))
+    rough = sum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-6, limit=200)[0]
+                for lo, hi in pieces)
+    total = sum(integrate.quad(integrand, lo, hi, epsabs=1e-14 * abs(rough), epsrel=1e-12,
+                               limit=200)[0]
+                for lo, hi in pieces)
     return -total / (math.pi * r ** n)
 
 
@@ -343,6 +349,34 @@ class TestRadialVelocity:
                     / (np.pi * xi ** n)
                 assert got[i] == pytest.approx(want, rel=1e-14, abs=0.0)
 
+    def test_panels_laid_per_64_targets_match_per_block(self, monkeypatch):
+        # 130 targets on spline seed 6 (inner breakpoints, targets beyond the
+        # support): the panels are laid for 64, 64 and 2 targets and cut into
+        # blocks of 8, with the bits of panels laid block by block
+        prof = TestFunctionFamily("random_monotone_spline", seed=6).sample()
+        L = prof.support_radius
+        x = np.geomspace(1e-3, 2.0 * L, 130)
+        inner = np.asarray(prof.breakpoints, dtype=float)
+        inner = inner[(inner > 0.0) & (inner < L)]
+        laid = []
+        panels = transform._radial_panels
+
+        def counted_panels(*args):
+            laid.append(len(args[0]))
+            return panels(*args)
+
+        monkeypatch.setattr(transform, "_radial_panels", counted_panels)
+        got = list(transform._radial_blocks(x, L, prof.breakpoints, 0.5))
+        assert laid == [64, 64, 2]
+        assert len(got) == 17
+        for k, (mine, rho, wt, size) in enumerate(got):
+            assert np.array_equal(mine, np.arange(8 * k, min(8 * k + 8, 130)))
+            owner, lo, hi, count, side = panels(x[mine], L, inner, 0.5)
+            want_rho, want_wt = transform._radial_nodes(lo, hi, count, side)
+            assert np.array_equal(rho, want_rho)
+            assert np.array_equal(wt, want_wt)
+            assert np.array_equal(size, np.bincount(owner, weights=count).astype(int))
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("r", [1e-6, 1e-3])
     def test_small_radius_matches_nested_quadrature(self, n, r):
@@ -353,6 +387,7 @@ class TestRadialVelocity:
         got = radial_velocity(prof, Params(n, 1.0, 1.0), r)
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("offset", [-1e-9, 1e-9])
     def test_spline_next_to_breakpoint_matches_nested_quadrature(self, offset):
         # f'' jumps at every knot of the monotone spline; the panels split
