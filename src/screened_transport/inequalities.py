@@ -181,22 +181,25 @@ def report_to_json(report: CertificateReport, path) -> None:
 # quadrature helpers
 # ---------------------------------------------------------------------------
 
-# Gauss points per panel of the graded rule for the profile integral
-_N_GL_PROFILE = 24
+def weighted_profile_integral(f, r, n: int):
+    """int_0^r (f(r) - f(rho)) rho^{n-1} d(rho) at every radius r >= 0 (a
+    float for a scalar r), as (1/n) int_0^{min(r, R)} f'(rho) rho^n d(rho) by
+    parts (R the support radius), free of the cancellation in f(r) - f(rho):
+    the graded rule on [0, R] split at the radii inside, its panel sums
+    accumulated."""
+    r = np.asarray(r, dtype=float)
+    R = f.support_radius
+    brk = np.union1d(graded_breaks(R, f.breakpoints), r[(r > 0.0) & (r < R)])
+    rho, w = gauss_panels(brk[:-1], brk[1:], GRADED_POINTS)
+    panels = np.add.reduceat(w * f.derivative(rho) * rho ** n,
+                             np.arange(0, rho.size, GRADED_POINTS))
+    total = np.concatenate([[0.0], np.cumsum(panels) / n])
+    out = total[np.searchsorted(brk, np.clip(r, 0.0, R))]
+    return float(out) if out.ndim == 0 else out
 
 
-def weighted_profile_integral(f, r: float, n: int) -> float:
-    """int_0^r (f(r) - f(rho)) rho^{n-1} d(rho) by panel Gauss-Legendre."""
-    if r <= 0:
-        return 0.0
-    brk = graded_breaks(r, f.breakpoints)
-    rho, w = gauss_panels(brk[:-1], brk[1:], _N_GL_PROFILE)
-    fr = float(np.asarray(f.value(np.asarray([r])))[0])
-    return float(np.dot(w, (fr - f.value(rho)) * rho ** (n - 1)))
-
-
-def pointwise_lower_bound(f, params: Params, r: float) -> float:
-    """The explicit lower bound for -u_r(r):
+def pointwise_lower_bound(f, params: Params, r):
+    """The explicit lower bound for -u_r(r) at every radius r > 0:
 
         n B(1/2, (n+1)/2) / (2^{n+1} pi) * w_a(r) / r^n
             * int_0^r (f(r) - f(rho)) rho^{n-1} d(rho).
@@ -204,8 +207,8 @@ def pointwise_lower_bound(f, params: Params, r: float) -> float:
     from scipy.special import beta
     n = params.n
     pref = n * beta(0.5, 0.5 * (n + 1)) / (2.0 ** (n + 1) * np.pi)
-    w = float(screening_weight(np.asarray(r), params))
-    return pref * w / r ** n * weighted_profile_integral(f, r, n)
+    r = np.asarray(r, dtype=float)
+    return pref * screening_weight(r, params) / r ** n * weighted_profile_integral(f, r, n)
 
 
 # ---------------------------------------------------------------------------
@@ -213,45 +216,31 @@ def pointwise_lower_bound(f, params: Params, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 def certify_pointwise(f, params: Params, radii, tolerance: float = 1e-8) -> CertificateReport:
-    """Check -u_r(r) >= pointwise_lower_bound at each radius.
+    """Check -u_r(r) >= pointwise_lower_bound at a nonempty set of positive
+    radii (ValueError otherwise).
 
     Slack is normalized per radius by (1 + |lhs|); the report's min_slack is
     the worst normalized slack over the radii.  A side that is not finite
     fails the cell: min_slack and min_ratio are -inf at the first such radius.
     """
     radii = np.asarray(radii, dtype=float)
+    if radii.size == 0 or not np.all(radii > 0.0):
+        raise ValueError("radii must be a nonempty set of positive radii")
     lhs = -radial_velocity(f, params, radii)
-    worst = {"slack": np.inf, "ratio": np.inf, "at": None}
-    for r, left in zip(radii, lhs):
-        right = pointwise_lower_bound(f, params, float(r))
-        if not np.isfinite([left, right]).all():
-            worst = {"slack": -np.inf, "ratio": -np.inf, "at": float(r)}
-            break
-        slack = (left - right) / (1.0 + abs(left))
-        ratio = left / right if right > 0 else np.inf
-        if slack < worst["slack"]:
-            worst = {"slack": slack, "ratio": ratio, "at": float(r)}
+    rhs = pointwise_lower_bound(f, params, radii)
+    finite = np.isfinite(lhs) & np.isfinite(rhs)
+    with np.errstate(invalid="ignore"):
+        slack = np.where(finite, (lhs - rhs) / (1.0 + np.abs(lhs)), -np.inf)
+    i = int(np.argmin(slack))
+    ratio = (lhs[i] / rhs[i] if rhs[i] > 0 else np.inf) if finite[i] else -np.inf
     return CertificateReport(
         inequality="pointwise_lower_bound",
-        samples=len(radii),
-        min_slack=float(worst["slack"]),
-        min_ratio=float(worst["ratio"]),
-        worst_case={"radius": worst["at"], "n": params.n, "a": params.a},
+        samples=radii.size,
+        min_slack=float(slack[i]),
+        min_ratio=float(ratio),
+        worst_case={"radius": float(radii[i]), "n": params.n, "a": params.a},
         tolerance=tolerance,
     )
-
-
-def _bilinear_lhs(f, params: Params, delta: float, r, w) -> float:
-    """-int R_a f . grad f / |x|^{n+delta} dx by radial reduction on nodes r:
-    -omega_{n-1} int u_r(r) f'(r) r^{-1-delta} dr (exact on the support of f').
-    u_r is evaluated only at the nodes where f' != 0; elsewhere the integrand
-    is 0 whatever u_r is, so u stays 0 there."""
-    d = f.derivative(r)
-    u = np.zeros_like(r)
-    live = d != 0.0
-    u[live] = radial_velocity(f, params, r[live])
-    integrand = -u * d * r ** (-1.0 - delta)
-    return sphere_area(params.n) * float(np.dot(w, integrand))
 
 
 def _bilinear_rhs(f, params: Params, delta: float, r, w) -> float:
@@ -283,31 +272,37 @@ def _bilinear_rhs(f, params: Params, delta: float, r, w) -> float:
     return bilinear_constant(n, delta) * sphere_area(n) * total
 
 
-def certify_bilinear(f, params: Params, delta: float, tolerance: float = 1e-6) -> CertificateReport:
-    """Check LHS >= RHS for the weighted bilinear inequality at one profile;
-    reports ratio = LHS / RHS (passes when ratio >= 1 - tolerance).  Both
-    sides integrate on the nodes of the graded rule on [0, R]; a side that is
-    not finite fails the cell with ratio and slack -inf."""
+def certify_bilinear(f, params: Params, deltas, tolerance: float = 1e-6) -> list[CertificateReport]:
+    """Check LHS >= RHS for the weighted bilinear inequality at one profile:
+    one CertificateReport per weight exponent in `deltas`, each with
+    ratio = LHS / RHS (passes when ratio >= 1 - tolerance).
+
+    Both sides integrate on the nodes r of the graded rule on [0, R].  The
+    left side, -int R_a f . grad f / |x|^{n+delta} dx, is -omega_{n-1}
+    int u_r(r) f'(r) r^{-1-delta} dr; u_r is evaluated once for every delta,
+    and only at the nodes where f' != 0 (elsewhere the integrand is 0).  A
+    side that is not finite fails the cell with ratio and slack -inf.
+    """
     brk = graded_breaks(f.support_radius, f.breakpoints)
     r, w = gauss_panels(brk[:-1], brk[1:], GRADED_POINTS)
-    lhs = _bilinear_lhs(f, params, delta, r, w)
-    rhs_ = _bilinear_rhs(f, params, delta, r, w)
-    if not np.isfinite([lhs, rhs_]).all():
-        ratio = slack = -np.inf
-    elif rhs_ <= 0:
-        ratio = np.inf
-        slack = lhs
-    else:
-        ratio = lhs / rhs_
-        slack = ratio - 1.0
-    return CertificateReport(
-        inequality="bilinear_lower_bound",
-        samples=1,
-        min_slack=float(slack),
-        min_ratio=float(ratio),
-        worst_case={"n": params.n, "a": params.a, "delta": delta},
-        tolerance=tolerance,
-    )
+    d = f.derivative(r)
+    u = np.zeros_like(r)
+    live = d != 0.0
+    u[live] = radial_velocity(f, params, r[live])
+    reports = []
+    for delta in deltas:
+        lhs = sphere_area(params.n) * float(np.dot(w, -u * d * r ** (-1.0 - delta)))
+        rhs_ = _bilinear_rhs(f, params, delta, r, w)
+        if not np.isfinite([lhs, rhs_]).all():
+            ratio = slack = -np.inf
+        elif rhs_ <= 0:
+            ratio, slack = np.inf, lhs
+        else:
+            ratio = lhs / rhs_
+            slack = ratio - 1.0
+        reports.append(CertificateReport("bilinear_lower_bound", 1, float(slack), float(ratio),
+                                         {"n": params.n, "a": params.a, "delta": delta}, tolerance))
+    return reports
 
 
 def young_split(b1: float, b2: float, alpha: float):

@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -153,9 +153,12 @@ def _sweep_radii(a: float, support: float, per_decade: int) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
-def _sweep_report(reports, key, path):
-    """The worst cell by `key`, counting every cell's samples; written to `path`."""
-    worst = replace(min(reports, key=key), samples=sum(r.samples for r in reports))
+def _sweep_report(cells, key, path):
+    """The worst report of the (family, report) cells by `key`, naming its
+    family and counting every cell's samples; written to `path`."""
+    fam, worst = min(cells, key=lambda cell: key(cell[1]))
+    worst = replace(worst, samples=sum(r.samples for _, r in cells),
+                    worst_case={**worst.worst_case, "family": asdict(fam)})
     report_to_json(worst, path)
     return worst
 
@@ -164,23 +167,23 @@ def _run_sweep_mode(cfg: ExperimentConfig, outdir: str):
     n = cfg["params.n"]
     g = cfg["params.g"]
     a_values = cfg["sweep.a_values"]
-    delta_values = cfg["sweep.delta_values"]
     fams = shipped_families(spline_seeds=tuple(cfg["sweep.spline_seeds"]))
     for fam in fams:
         fam.validate()
-    profiles = [fam.sample() for fam in fams]
+    profiles = [(fam, fam.sample()) for fam in fams]
 
     p_path = os.path.join(outdir, "certificate_pointwise.json")
     agg_p = _sweep_report(
-        [certify_pointwise(f, Params(n, a, g),
-                           _sweep_radii(a, f.support_radius, cfg["sweep.radii_per_decade"]))
-         for f in profiles for a in a_values],
+        [(fam, certify_pointwise(f, Params(n, a, g),
+                                 _sweep_radii(a, f.support_radius, cfg["sweep.radii_per_decade"])))
+         for fam, f in profiles for a in a_values],
         lambda r: r.min_slack, p_path)
 
+    # one velocity per (profile, a) serves every delta, in (profile, a, delta) order
     b_path = os.path.join(outdir, "certificate_bilinear.json")
     agg_b = _sweep_report(
-        [certify_bilinear(f, Params(n, a, g), d)
-         for f in profiles for a in a_values for d in delta_values],
+        [(fam, rep) for fam, f in profiles for a in a_values
+         for rep in certify_bilinear(f, Params(n, a, g), cfg["sweep.delta_values"])],
         lambda r: r.min_ratio, b_path)
     ok = agg_p.passed and agg_b.passed
     return ("clean" if ok else "certificate_failed"), [p_path, b_path], {

@@ -152,14 +152,13 @@ def test_criterion_4_bilinear_certification():
     worst_case = None
     bump = bump_profile(1.0, 1.0, 2.0)
     for a in (0.25, 0.5, 1.0, 2.0, 4.0):
-        for delta in (-0.5, -0.25, 0.0, 0.25, 0.5):
-            rep = certify_bilinear(bump, Params(2, a, 1.0), delta)
+        for rep in certify_bilinear(bump, Params(2, a, 1.0), (-0.5, -0.25, 0.0, 0.25, 0.5)):
             if rep.min_ratio < worst_ratio:
                 worst_ratio, worst_case = rep.min_ratio, rep.worst_case
     from screened_transport import TestFunctionFamily
     for seed in range(100):
         f = TestFunctionFamily("random_monotone_spline", seed=seed).sample()
-        rep = certify_bilinear(f, P2, 0.25)
+        rep, = certify_bilinear(f, P2, [0.25])
         if rep.min_ratio < worst_ratio:
             worst_ratio, worst_case = rep.min_ratio, {**rep.worst_case, "seed": seed}
 

@@ -231,14 +231,19 @@ class TestSweepMode:
         bl = json.loads((out / "certificate_bilinear.json").read_text())
         assert pw["pass"] is True and bl["pass"] is True
         assert bl["min_ratio"] >= 1.0
+        # each certificate names the family of its worst cell
+        assert bl["worst_case"] == {"n": 2, "a": 1.0, "delta": 0.25, "family": {
+            "kind": "random_monotone_spline", "parameters": [], "seed": 0}}
+        assert pw["worst_case"]["family"].keys() == {"kind", "parameters", "seed"}
+        assert pw["worst_case"].keys() == {"radius", "n", "a", "family"}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["pointwise_pass"] is True
 
     def test_failed_certificate_has_its_own_exit_code(self, tmp_path, monkeypatch):
-        def failing_bilinear(f, params, delta):
-            return CertificateReport("bilinear_lower_bound", 1, -0.5, 0.5,
-                                     {"n": params.n, "a": params.a, "delta": delta},
-                                     tolerance=1e-6)
+        def failing_bilinear(f, params, deltas):
+            return [CertificateReport("bilinear_lower_bound", 1, -0.5, 0.5,
+                                      {"n": params.n, "a": params.a, "delta": delta},
+                                      tolerance=1e-6) for delta in deltas]
 
         monkeypatch.setattr(runner, "certify_bilinear", failing_bilinear)
         cfg = parse_config(SWEEP_TINY.format(out=tmp_path / "sw"))

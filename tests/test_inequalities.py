@@ -17,6 +17,7 @@ from screened_transport.inequalities import (
     shipped_families,
     weighted_profile_integral,
 )
+from screened_transport.kernels import GRADED_POINTS, gauss_panels, graded_breaks
 
 
 P2 = Params(2, 1.0, 1.0)
@@ -148,6 +149,27 @@ class TestWeightedProfileIntegral:
         f = shipped_families()[0].sample()
         assert weighted_profile_integral(f, 0.0, 2) == 0.0
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bound_near_origin_matches_mpmath(self, n):
+        # f(r) - f(rho) cancels near the origin, where the bump is flat; the
+        # by-parts form int f'(rho) rho^n d(rho) / n does not
+        mp = pytest.importorskip("mpmath")
+        L, depth, sharp = 1.5, 0.7, 4.0
+        f = TestFunctionFamily("bump", (L, depth, sharp)).sample()
+        params = Params(n, 1.0, 1.0)
+        radii = np.array([1.24e-3, 1.91e-3])
+        value = lambda x: -depth * mp.exp(sharp * (1 - 1 / (1 - (x / L) ** 2)))
+        want = []
+        with mp.workdps(40):
+            for r in map(mp.mpf, radii):
+                integral = mp.quad(lambda x: (value(r) - value(x)) * x ** (n - 1), [0, r])
+                weight = 1 - 2 ** (n + 1) * r ** (n + 1) / (4 * r ** 2 + 1) ** (mp.mpf(n + 1) / 2)
+                pref = n * mp.beta(0.5, mp.mpf(n + 1) / 2) / (2 ** (n + 1) * mp.pi)
+                want.append(float(pref * weight / r ** n * integral))
+        got = pointwise_lower_bound(f, params, radii)
+        assert np.abs(got / np.array(want) - 1.0).max() <= 1e-13
+        assert isinstance(weighted_profile_integral(f, float(radii[0]), n), float)
+
 
 class TestPointwise:
     def test_constant_profile_degenerates(self):
@@ -169,6 +191,14 @@ class TestPointwise:
         params = Params(n, 0.5, 1.0)
         rep = certify_pointwise(f, params, np.geomspace(0.05, 3.0, 12))
         assert rep.passed
+
+    @pytest.mark.parametrize("radii", [[], [0.0], [0.3, 0.0, 0.8], [-0.1, 0.5], [np.nan]],
+                             ids=["empty", "zero", "zero_among_positive", "negative", "nan"])
+    def test_rejects_empty_or_nonpositive_radii(self, radii):
+        # r = 0 used to fail the cell as -inf after 0/0 warnings, although
+        # both sides vanish there; [] used to pass vacuously
+        with pytest.raises(ValueError, match="positive radii"):
+            certify_pointwise(shipped_families()[0].sample(), P2, radii)
 
     def test_lower_bound_positive_inside_support(self):
         f = shipped_families()[0].sample()
@@ -204,15 +234,34 @@ class TestPointwise:
 class TestBilinear:
     def test_bump_ratio_exceeds_one(self):
         f = shipped_families()[0].sample()
-        rep = certify_bilinear(f, P2, 0.25)
+        rep, = certify_bilinear(f, P2, [0.25])
         assert rep.passed
         assert rep.min_ratio >= 1.0
 
     @pytest.mark.parametrize("delta", [-0.5, 0.0, 0.5])
     def test_step_family_across_delta(self, delta):
         f = TestFunctionFamily("smoothed_step").sample()
-        rep = certify_bilinear(f, P2, delta)
+        rep, = certify_bilinear(f, P2, [delta])
         assert rep.min_ratio >= 1.0 - 1e-6
+
+    @pytest.mark.parametrize("fam", [shipped_families()[0], shipped_families((35,))[-1]],
+                             ids=["bump", "spline_seed35"])
+    def test_delta_sequence_equals_single_delta_calls(self, monkeypatch, fam):
+        from screened_transport import inequalities
+        calls = []
+
+        def counted(f, params, r):
+            calls.append(np.size(r))
+            return radial_velocity(f, params, r)
+
+        monkeypatch.setattr(inequalities, "radial_velocity", counted)
+        f = fam.sample()
+        deltas = (-0.5, 0.0, 0.25, 0.5)
+        got = certify_bilinear(f, P2, deltas)
+        assert len(calls) == 1
+        want = [rep for d in deltas for rep in certify_bilinear(f, P2, [d])]
+        assert [rep.as_dict() for rep in got] == [rep.as_dict() for rep in want]
+        assert [rep.worst_case["delta"] for rep in got] == list(deltas)
 
     def test_constant_profile_degenerates(self, monkeypatch):
         # f' = 0 at every node, so no velocity is evaluated
@@ -225,36 +274,36 @@ class TestBilinear:
 
         monkeypatch.setattr(inequalities, "radial_velocity", counted)
         prof = RadialProfile(np.linspace(0, 1, 9), np.full(9, -0.2))
-        rep = certify_bilinear(prof, P2, 0.25)
+        rep, = certify_bilinear(prof, P2, [0.25])
         assert rep.passed
         assert sum(targets) == 0
 
     @pytest.mark.parametrize("fam", shipped_families((0, 6, 35)),
                              ids=["bump", "bump_L1.5", "step", "ramp", "spline_seed0",
                                   "spline_seed6", "spline_seed35"])
-    def test_skipping_zero_slope_nodes_keeps_the_bits(self, monkeypatch, fam):
-        # the left side with u_r at every graded node, as before the skip
-        from screened_transport import inequalities
+    def test_skipping_zero_slope_nodes_keeps_the_bits(self, fam):
+        # the ratio with u_r at every graded node, as before the skip
         from screened_transport.blowup import sphere_area
+        from screened_transport.inequalities import _bilinear_rhs
 
-        def every_node(f, params, delta, r, w):
-            u = radial_velocity(f, params, r)
-            integrand = -u * f.derivative(r) * r ** (-1.0 - delta)
-            return sphere_area(params.n) * float(np.dot(w, integrand))
+        def every_node(f, params, delta):
+            brk = graded_breaks(f.support_radius, f.breakpoints)
+            r, w = gauss_panels(brk[:-1], brk[1:], GRADED_POINTS)
+            integrand = -radial_velocity(f, params, r) * f.derivative(r) * r ** (-1.0 - delta)
+            lhs = sphere_area(params.n) * float(np.dot(w, integrand))
+            return lhs / _bilinear_rhs(f, params, delta, r, w)
 
         f = fam.sample()
-        cells = [(Params(2, a, 1.0), delta) for a in (0.5, 1.0) for delta in (-0.5, 0.25)]
-        got = [certify_bilinear(f, p, delta).min_ratio for p, delta in cells]
-        monkeypatch.setattr(inequalities, "_bilinear_lhs", every_node)
-        want = [certify_bilinear(f, p, delta).min_ratio for p, delta in cells]
-        assert got == want
+        for p in (Params(2, 0.5, 1.0), Params(2, 1.0, 1.0)):
+            got = [rep.min_ratio for rep in certify_bilinear(f, p, (-0.5, 0.25))]
+            assert got == [every_node(f, p, delta) for delta in (-0.5, 0.25)]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_velocity_fails(self, monkeypatch, bad):
         from screened_transport import inequalities
         monkeypatch.setattr(inequalities, "radial_velocity",
                             lambda f, params, r: np.full(np.shape(r), bad))
-        rep = certify_bilinear(shipped_families()[0].sample(), P2, 0.25)
+        rep, = certify_bilinear(shipped_families()[0].sample(), P2, [0.25])
         assert not rep.passed
         assert rep.min_ratio == -np.inf
 
@@ -262,7 +311,7 @@ class TestBilinear:
         import json
         from screened_transport.inequalities import report_to_json
         f = shipped_families()[0].sample()
-        rep = certify_bilinear(f, P2, 0.0)
+        rep, = certify_bilinear(f, P2, [0.0])
         report_to_json(rep, tmp_path / "r.json")
         data = json.loads((tmp_path / "r.json").read_text())
         assert data["inequality"] == "bilinear_lower_bound"
