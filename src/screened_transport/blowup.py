@@ -202,11 +202,11 @@ def structural_checks(snapshots, rho0: ScalarField, cfg: BlowupConfig,
     """Boolean reports for origin invariance, support containment, lattice
     angular symmetry, and radial monotonicity over a window of snapshots.
 
-    `snapshots` is a list of (time, ScalarField); `window_end` restricts the
-    checks to times <= window_end.  Violations are absolute for the origin
-    value, mass fractions for the support, worst orbit spread for the
-    angular check, and worst drop of the radially averaged profile relative
-    to the data range for monotonicity.
+    `snapshots` is an iterable of (time, ScalarField); `window_end`
+    restricts the checks to times <= window_end.  Violations are absolute
+    for the origin value, mass fractions for the support, worst orbit spread
+    for the angular check, and worst drop of the radially averaged profile
+    relative to the data range for monotonicity.
     """
     g = rho0.grid
     o = g.origin_index

@@ -129,14 +129,16 @@ class TestFunctionFamily:
 
 def shipped_families(spline_seeds=(0, 1)) -> list:
     """The default certification set: one of each deterministic family plus
-    seeded monotone splines."""
+    seeded monotone splines.  Every family names its parameters, so the
+    `family` a sweep certificate records rebuilds its worst profile."""
     fams = [
         TestFunctionFamily("bump", (1.0, 1.0, 2.0)),
         TestFunctionFamily("bump", (1.5, 0.7, 4.0)),
         TestFunctionFamily("smoothed_step", (1.0, 0.7, 0.25)),
         TestFunctionFamily("piecewise_linear_smoothed", (1.0, 0.3, 1.0, 0.1)),
     ]
-    fams.extend(TestFunctionFamily("random_monotone_spline", seed=s) for s in spline_seeds)
+    fams.extend(TestFunctionFamily("random_monotone_spline", (1.0, 1.5, 9), seed=s)
+                for s in spline_seeds)
     return fams
 
 

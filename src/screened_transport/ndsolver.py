@@ -17,7 +17,10 @@ Each real FFT is n one-axis `numpy.fft` passes written into work arrays
 the modes there keep their initial values exactly.
 
 `run_nd` drives `rk4.time_loop`.  It tests the gradient threshold only on
-recorded rows, because the max gradient costs two FFTs.
+recorded rows, because the max gradient costs two FFTs.  It keeps no
+snapshot itself: each is handed, as its samples only, to the caller's
+`snapshots` object when it is taken, so a consumer that writes and drops
+them holds one field at a time whatever the snapshot count.
 """
 
 from __future__ import annotations
@@ -169,7 +172,7 @@ def _cfl_dt(cfl: float, spacing: float, speed: float, dt_max: float) -> float:
 @dataclass
 class NdRunResult:
     series: DiagnosticsSeries
-    snapshots: list               # (time, ScalarField)
+    snapshots: list               # (time, ScalarField), or the object given to run_nd
     stop_reason: Stop
     initial: ScalarField
     threshold_time: float | None  # first time sup_grad exceeded the stop factor
@@ -184,15 +187,21 @@ def run_nd(rho0: ScalarField, params: Params, *,
            support_radius: float | None = None,
            output_interval: float | None = None,
            snapshot_interval: float | None = None,
-           snapshot_times=None) -> NdRunResult:
+           snapshot_times=None,
+           snapshots=None) -> NdRunResult:
     """Integrate until t_max, gradient growth past `gradient_factor` (tested
     at output times), a dt underflow (below `rk4.DT_MIN`), or a nonfinite
     state; dt never exceeds DT_MAX.
 
     Records max gradient, L2 and H^3 norms, the blow-up functional, the
     running gradient time integral, the origin value, and the mass fraction
-    outside the support ball at every output time; snapshots the full field
-    at `snapshot_interval` (or the explicit `snapshot_times`).
+    outside the support ball at every output time.
+
+    Snapshots are taken at t = 0, every `snapshot_interval` (or at the
+    explicit `snapshot_times`) and at the end.  Each is passed on when it is
+    taken, as `snapshots.append((time, field))`, to `snapshots` (a new list
+    by default), which the result returns.  The field holds its samples
+    only; its half spectrum is recomputed if asked for.
     """
     grid = rho0.grid
     if params.n != grid.n:
@@ -237,13 +246,15 @@ def run_nd(rho0: ScalarField, params: Params, *,
                                       / max(np.abs(vals).sum(), 1e-300)),
         }
 
-    series, states, stop = time_loop(
+    if snapshots is None:
+        snapshots = []
+    series, final, stop = time_loop(
         NdState(0.0, rho0, params), t_max, first,
         lambda st, dt, k1: step_rk4(st, dt, ws, k1), row,
         lambda st, rec: rec is not None and rec["sup_grad"] >= cap,
+        lambda t, st: snapshots.append((t, ScalarField(grid, st.rho.values))),
         output_interval, snapshot_times, snapshot_interval)
-    snapshots = [(t, st.rho) for t, st in states]
-    threshold_time = states[-1][1].time if stop is Stop.GRADIENT_THRESHOLD else None
+    threshold_time = final.time if stop is Stop.GRADIENT_THRESHOLD else None
     return NdRunResult(series, snapshots, stop, rho0, threshold_time, grid)
 
 

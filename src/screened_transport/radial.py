@@ -249,9 +249,11 @@ def run_radial(initial: RadialProfile, params: Params, *,
                 "origin_value": st.origin_value,
                 "support_radius": st.support_radius}
 
-    series, states, stop = time_loop(
+    states = []
+    series, _, stop = time_loop(
         state, t_max, first, lambda st, dt, k1: step(st, dt, params, k1), row,
-        lambda st, rec: st.max_gradient() >= cap, output_interval, snapshot_times)
+        lambda st, rec: st.max_gradient() >= cap, lambda t, st: states.append((t, st)),
+        output_interval, snapshot_times)
     return RadialRunResult(series, states, stop)
 
 

@@ -3,7 +3,9 @@
 Each solver evaluates its right-hand side once at the start of a step, to
 set the CFL time step; that evaluation is also RK4's first stage, so a step
 costs four evaluations.  `time_loop` owns the rest: the dt floor, snapshot
-times, the output cadence and the closing diagnostics row.
+times, the output cadence and the closing diagnostics row.  It keeps no
+snapshots: it hands each one to the solver's `snapshot` function as it is
+taken, so what a run retains is the solver's choice.
 """
 
 from __future__ import annotations
@@ -51,17 +53,19 @@ def rk4(y, dt: float, k1, f):
     return out
 
 
-def time_loop(state, t_max: float, first, step, row, crossed, output_interval: float,
-              snapshot_times=None, snapshot_interval: float | None = None):
+def time_loop(state, t_max: float, first, step, row, crossed, snapshot,
+              output_interval: float, snapshot_times=None,
+              snapshot_interval: float | None = None):
     """Advance `state` (any object with a `.time`) to t_max or a stop.
 
     `first(state)` gives (k1, CFL dt); a dt at or below DT_MIN stops the run.
     `step(state, dt, k1)` gives (new_state, None) or (state, Stop).
     `row(state, dt)` gives a diagnostics row, whose keys name the columns;
     `crossed(state, row or None)` tests the threshold after every step.
-    Returns (series, [(time, state)], stop).  The snapshots are t = 0, each
-    snapshot time (positive, distinct, landed on exactly), every
-    `snapshot_interval`, and the end, which overshoots t_max by 1e-13.
+    `snapshot(time, state)` is called at t = 0, at each snapshot time
+    (positive, distinct, landed on exactly), every `snapshot_interval`, and
+    at the end, which overshoots t_max by 1e-13.
+    Returns (series, final state, stop).
     """
     snapshot_times = sorted(snapshot_times or [])
     if any(t <= 0.0 for t in snapshot_times) or len(set(snapshot_times)) < len(snapshot_times):
@@ -69,7 +73,8 @@ def time_loop(state, t_max: float, first, step, row, crossed, output_interval: f
     first_row = row(state, 0.0)
     series = DiagnosticsSeries(list(first_row))
     series.append(state.time, **first_row)
-    snapshots = [(state.time, state)]
+    snapshot(state.time, state)
+    last_snap = state.time
     stop = Stop.TIME_LIMIT
     next_record = output_interval
     next_snap = snapshot_interval or None
@@ -92,10 +97,12 @@ def time_loop(state, t_max: float, first, step, row, crossed, output_interval: f
             break
         state, dt_taken = new, dt
         if target is not None:
-            snapshots.append((target, state))
+            snapshot(target, state)
+            last_snap = target
             si += 1
         elif next_snap is not None and state.time >= next_snap:
-            snapshots.append((state.time, state))
+            snapshot(state.time, state)
+            last_snap = state.time
             next_snap = state.time + snapshot_interval
         recorded = None
         if state.time >= next_record:
@@ -107,6 +114,6 @@ def time_loop(state, t_max: float, first, step, row, crossed, output_interval: f
             break
     if series.times[-1] < state.time:
         series.append(state.time, **row(state, dt_taken))
-    if snapshots[-1][0] < state.time:
-        snapshots.append((state.time, state))
-    return series, snapshots, stop
+    if last_snap < state.time:
+        snapshot(state.time, state)
+    return series, state, stop

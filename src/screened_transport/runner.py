@@ -1,16 +1,21 @@
 """Experiment orchestration: dispatch a validated config, write artifacts.
 
-Every run produces a manifest (config echo, code version, wall time, output
-files with content hashes) plus mode-specific CSV / gnuplot / JSON / binary
-outputs.  Exit codes map the stop reason so sweep drivers can branch on
+Every run produces a manifest (config echo, code version, wall time, the
+process's peak resident set size, output files with content hashes) plus
+mode-specific CSV / gnuplot / JSON / binary outputs.  The manifest is
+written last, so it indexes a complete run: an nd run writes each snapshot
+as it is taken, and one that dies midway leaves snapshot files but no
+manifest.  Exit codes map the stop reason so sweep drivers can branch on
 blow-up vs clean completion.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import resource
 import time
 from dataclasses import asdict, replace
 
@@ -20,7 +25,8 @@ from . import __version__
 from .blowup import (BlowupConfig, checks_to_json, predict_blowup_time,
                      riccati_check, riccati_rate, structural_checks)
 from .config import ExperimentConfig
-from .fields import Params, bump_profile, make_grid, profile_to_csv, sample_radial, save_field
+from .fields import (Params, bump_profile, load_field, make_grid, profile_to_csv, sample_radial,
+                     save_field)
 from .inequalities import certify_bilinear, certify_pointwise, report_to_json, shipped_families
 from .ndsolver import run_nd
 from .radial import run_radial
@@ -64,6 +70,9 @@ def _write_manifest(outdir, cfg, extra, files, wall):
         "config": cfg.as_dict(),
         "code_version": __version__,
         "wall_time_s": wall,
+        # the process-wide high-water mark so far, not this run's alone
+        # (ru_maxrss is in KiB on Linux)
+        "process_peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
         "outputs": [{"path": os.path.basename(f), "sha256": _sha256(f)} for f in sorted(files)],
     }
     manifest.update(extra)
@@ -85,6 +94,21 @@ def _write_series(series, outdir):
     return [csv, dat]
 
 
+class _SnapshotWriter:
+    """The `snapshots` object of an nd run: saves each (time, field) as
+    `snapshot_{i:04d}.field` when it is taken and keeps (time, path)."""
+
+    def __init__(self, outdir):
+        self.outdir = outdir
+        self.saved = []
+
+    def append(self, snap):
+        t, field = snap
+        path = os.path.join(self.outdir, f"snapshot_{len(self.saved):04d}.field")
+        save_field(path, field, time=t)
+        self.saved.append((t, path))
+
+
 def _run_nd_mode(cfg: ExperimentConfig, outdir: str):
     params = Params(cfg["params.n"], cfg["params.a"], cfg["params.g"])
     grid = make_grid(params.n, cfg["grid.half_width"], cfg["grid.points_per_dim"])
@@ -98,12 +122,10 @@ def _run_nd_mode(cfg: ExperimentConfig, outdir: str):
         support_radius=profile.support_radius,
         output_interval=cfg["output.interval"],
         snapshot_interval=cfg["output.snapshot_interval"],
+        snapshots=_SnapshotWriter(outdir),
     )
     files = _write_series(result.series, outdir)
-    for i, (t, snap) in enumerate(result.snapshots):
-        p = os.path.join(outdir, f"snapshot_{i:04d}.field")
-        save_field(p, snap, time=t)
-        files.append(p)
+    files.extend(p for _, p in result.snapshots.saved)
     bcfg = BlowupConfig(cfg["blowup.delta"], profile.support_radius, params)
     I0 = result.series.column("i_delta")[0]
     rate = riccati_rate(bcfg)
@@ -118,7 +140,9 @@ def _run_nd_mode(cfg: ExperimentConfig, outdir: str):
     t3 = result.series.t[np.argmax(sg >= 3.0 * sg[0])] if np.any(sg >= 3.0 * sg[0]) else None
     if t3 is not None and len(result.series) >= 3:
         extra["riccati_check"] = riccati_check(result.series, bcfg, window_end=t3)
-        checks = structural_checks(result.snapshots, rho0, bcfg, window_end=t3)
+        # read back one at a time; the files hold the samples bit for bit
+        window = ((t, load_field(p)[0]) for t, p in result.snapshots.saved if t <= t3)
+        checks = structural_checks(window, rho0, bcfg, window_end=t3)
         checks_json = os.path.join(outdir, "structural_checks.json")
         checks_to_json(checks, checks_json)
         files.append(checks_json)
@@ -207,6 +231,9 @@ def _run_limit_mode(cfg: ExperimentConfig, outdir: str):
 def run(cfg: ExperimentConfig) -> int:
     """Execute a validated config; returns the process exit code."""
     outdir = _outdir(cfg)
+    # a manifest left by an earlier run would index files this run overwrites
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(outdir, "manifest.json"))
     t0 = time.time()
     if cfg.mode == "nd_run":
         stop, files, extra = _run_nd_mode(cfg, outdir)

@@ -6,8 +6,12 @@ import shlex
 import numpy as np
 import pytest
 
-from screened_transport import CertificateReport, ConfigError, cli, parse_config, runner
+from screened_transport import (CertificateReport, ConfigError, Params, TestFunctionFamily,
+                                bump_profile, cli, make_grid, parse_config, run_nd, runner,
+                                sample_radial, save_field)
+from screened_transport.blowup import BlowupConfig, checks_to_json, structural_checks
 from screened_transport.cli import main
+from screened_transport.inequalities import _monotone_spline
 from screened_transport.runner import EXIT_CODES, run
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -233,11 +237,17 @@ class TestSweepMode:
         assert bl["min_ratio"] >= 1.0
         # each certificate names the family of its worst cell
         assert bl["worst_case"] == {"n": 2, "a": 1.0, "delta": 0.25, "family": {
-            "kind": "random_monotone_spline", "parameters": [], "seed": 0}}
+            "kind": "random_monotone_spline", "parameters": [1.0, 1.5, 9], "seed": 0}}
         assert pw["worst_case"]["family"].keys() == {"kind", "parameters", "seed"}
         assert pw["worst_case"].keys() == {"radius", "n", "a", "family"}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["pointwise_pass"] is True
+        # the named family rebuilds the worst profile bit for bit: seed 0's
+        # nodes and values as every earlier sweep sampled them
+        worst = TestFunctionFamily(**bl["worst_case"]["family"]).sample()
+        seed0 = _monotone_spline(0)
+        assert worst.nodes.tobytes() == seed0.nodes.tobytes()
+        assert worst.values.tobytes() == seed0.values.tobytes()
 
     def test_failed_certificate_has_its_own_exit_code(self, tmp_path, monkeypatch):
         def failing_bilinear(f, params, deltas):
@@ -293,6 +303,74 @@ class TestNdMode:
         assert header.split(",")[:4] == ["t", "dt", "sup_grad", "l2"]
         for col in ("i_delta", "bkm_partial", "origin_value", "support_mass_out"):
             assert col in header
+
+    # a leaked file handle fails the test (its warning is raised while the
+    # handle is collected, so it arrives as an unraisable exception); the
+    # grid's resolution warning is expected
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    @pytest.mark.filterwarnings("ignore:initial data spectral tail")
+    def test_streamed_snapshots_match_an_in_memory_run(self, tmp_path):
+        # ND_SMALL on a finer, smaller box that grows the gradient 3x by
+        # t = 1.53, so the run also writes structural_checks.json
+        text = (ND_SMALL.replace("points_per_dim = 64", "points_per_dim = 160")
+                .replace("half_width = 4.0", "half_width = 2.5")
+                .replace("t_max = 0.3", "t_max = 1.6"))
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert run(parse_config(text.format(out=out))) == 0
+        cfg = parse_config(text.format(out=tmp_path / "memory"))
+        snaps = sorted(p.name for p in outs[0].glob("snapshot_*.field"))
+        assert len(snaps) >= 10 and (outs[0] / "structural_checks.json").exists()
+        # two runner runs write the same bytes
+        for name in snaps + ["series.csv", "structural_checks.json"]:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+        # the same run with its snapshots kept in memory, saved afterwards
+        params = Params(cfg["params.n"], cfg["params.a"], cfg["params.g"])
+        grid = make_grid(params.n, cfg["grid.half_width"], cfg["grid.points_per_dim"])
+        profile = bump_profile(2.0, 1.0, 4.0)
+        rho0 = sample_radial(profile, grid)
+        result = run_nd(rho0, params, t_max=1.6, gradient_factor=50.0, delta=cfg["blowup.delta"],
+                        support_radius=2.0, output_interval=0.05, snapshot_interval=0.1)
+        assert len(result.snapshots) == len(snaps)
+        ref = tmp_path / "memory"
+        ref.mkdir()
+        for name, (t, field) in zip(snaps, result.snapshots):
+            save_field(ref / name, field, time=t)
+            assert (ref / name).read_bytes() == (outs[0] / name).read_bytes(), name
+        sg = result.series.column("sup_grad")
+        t3 = result.series.t[np.argmax(sg >= 3.0 * sg[0])]
+        bcfg = BlowupConfig(cfg["blowup.delta"], 2.0, params)
+        checks_to_json(structural_checks(result.snapshots, rho0, bcfg, window_end=t3),
+                       ref / "structural_checks.json")
+        assert ((ref / "structural_checks.json").read_bytes()
+                == (outs[0] / "structural_checks.json").read_bytes())
+
+    def test_run_dying_midway_leaves_no_manifest(self, tmp_path, monkeypatch, recwarn):
+        # a rerun into the same directory that fails after writing one
+        # snapshot must not leave the earlier run's manifest behind
+        out = tmp_path / "nd"
+        run(parse_config(ND_SMALL.format(out=out)))
+        written = []
+
+        def failing(path, field, time=0.0):
+            if written:
+                raise OSError("disk full")
+            written.append(path)
+            save_field(path, field, time=time)
+
+        monkeypatch.setattr(runner, "save_field", failing)
+        with pytest.raises(OSError, match="disk full"):
+            run(parse_config(ND_SMALL.format(out=out).replace("a = 1.0", "a = 2.0")))
+        assert len(written) == 1 and (out / "snapshot_0000.field").exists()
+        assert not (out / "manifest.json").exists()
+
+    def test_manifest_records_process_peak_rss(self, tmp_path, recwarn):
+        run(parse_config(ND_SMALL.format(out=tmp_path / "nd")))
+        manifest = json.loads((tmp_path / "nd" / "manifest.json").read_text())
+        # the process-wide high-water mark in MB: at least the numpy import
+        assert 10.0 < manifest["process_peak_rss_mb"] < 1e5
 
 
 def _readme_commands():

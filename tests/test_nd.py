@@ -398,6 +398,51 @@ class TestRunNd:
         assert np.isfinite(q_coarse) and q_coarse > 0
         assert q_fine == pytest.approx(q_coarse, rel=0.5)
 
+    def test_snapshots_go_to_the_given_object_as_samples(self, grid96):
+        rho0 = masked(sample_radial(bump_profile(1.0, 1.0, 2.0), grid96))
+        sink = []
+        res = run_nd(rho0, P2, t_max=0.2, output_interval=0.05,
+                     snapshot_times=[0.1], support_radius=1.0, snapshots=sink)
+        ref = run_nd(rho0, P2, t_max=0.2, output_interval=0.05,
+                     snapshot_times=[0.1], support_radius=1.0)
+        assert res.snapshots is sink and isinstance(ref.snapshots, list)
+        assert [t for t, _ in sink] == [t for t, _ in ref.snapshots]
+        for (_, mine), (_, theirs) in zip(sink, ref.snapshots):
+            assert mine._half_spectrum is None
+            assert mine.values.tobytes() == theirs.values.tobytes()
+        # the spectrum is recomputed on demand from the samples
+        np.testing.assert_array_equal(ref.snapshots[0][1].half_spectrum, rho0.half_spectrum)
+
+    def test_peak_memory_does_not_grow_with_snapshot_count(self):
+        # a consumer that drops each field: 31 snapshots instead of 3 cost
+        # less than two fields more at the peak
+        grid = make_grid(2, 4.0, 64)
+        rho0 = masked(sample_radial(bump_profile(1.0, 1.0, 2.0), grid))
+
+        class Drop:
+            count = 0
+
+            def append(self, snap):
+                self.count += 1
+
+        def peak(interval):
+            sink = Drop()
+            run_nd(rho0, P2, t_max=1.5, output_interval=0.5, support_radius=1.0,
+                   snapshot_interval=interval, snapshots=sink)   # warm the caches
+            tracemalloc.start()
+            try:
+                sink = Drop()
+                run_nd(rho0, P2, t_max=1.5, output_interval=0.5, support_radius=1.0,
+                       snapshot_interval=interval, snapshots=sink)
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return sink.count, top
+
+        (few, few_peak), (many, many_peak) = peak(0.74), peak(0.05)
+        assert (few, many) == (3, 31)
+        assert many_peak - few_peak < 2 * rho0.values.nbytes
+
 
 class TestBkmIntegral:
     def test_empty_series_rejected(self):

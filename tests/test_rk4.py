@@ -34,8 +34,13 @@ def never(st, rec):
 
 
 def run(dt=0.1, t_max=1.0, output_interval=0.25, step=step, crossed=never, **kw):
-    return time_loop(Toy(0.0, 1.0), t_max, first_at(dt), step, row, crossed,
-                     output_interval, **kw)
+    """(series, the snapshots handed out, stop); the final state the loop
+    returns must be the last snapshot's."""
+    snaps = []
+    series, final, stop = time_loop(Toy(0.0, 1.0), t_max, first_at(dt), step, row, crossed,
+                                    lambda t, s: snaps.append((t, s)), output_interval, **kw)
+    assert final is snaps[-1][1]
+    return series, snaps, stop
 
 
 def test_steps_land_on_snapshot_times():
@@ -68,6 +73,22 @@ def test_rows_at_zero_each_interval_and_close_with_last_dt():
 def test_snapshot_interval():
     _, snaps, _ = run(dt=0.1, t_max=1.0, snapshot_interval=0.35)
     assert [t for t, _ in snaps] == pytest.approx([0.0, 0.4, 0.8, 1.0], abs=1e-12)
+
+
+def test_snapshots_are_handed_out_as_they_are_taken():
+    # each snapshot reaches the consumer before the next step is taken
+    seen, handed = [], []
+
+    def counting(st, dt, k1):
+        seen.append(len(handed))
+        return step(st, dt, k1)
+
+    series, final, _ = time_loop(Toy(0.0, 1.0), 1.0, first_at(0.25), counting, row, never,
+                                 lambda t, s: handed.append(t), 0.25, snapshot_interval=0.5)
+    assert handed == pytest.approx([0.0, 0.5, 1.0], abs=1e-12)
+    assert seen == [1, 1, 2, 2]
+    # the last step ends on a snapshot, so the end is not handed out twice
+    assert final.time == 1.0
 
 
 def test_dt_at_floor_underflows():
