@@ -372,7 +372,8 @@ class RadialProfile:
     interpolant, so a nondecreasing node set stays nondecreasing between
     nodes; `from_poly` takes a SciPy piecewise polynomial instead.  The
     derivative at r_M is the polynomial's left limit, and 0 beyond.
-    Subclasses may override `value`/`derivative` with closed forms.
+    Subclasses may override `value`/`derivative` with closed forms, and then
+    `rise` too.
     """
 
     def __init__(self, nodes: np.ndarray, values: np.ndarray):
@@ -426,6 +427,14 @@ class RadialProfile:
     def origin_value(self) -> float:
         return float(self.values[0])
 
+    def rise(self, r):
+        """f(r) - f(0), free of the cancellation of value(r) - origin_value()
+        near the origin: on the first piece, its polynomial without the
+        constant term."""
+        r = np.asarray(r, dtype=float)
+        first = np.polyval(self._poly.c[:-1, 0], r) * r
+        return np.where(r < self.nodes[1], first, self.value(r) - self.values[0])
+
 
 class _BumpProfile(RadialProfile):
     """Smooth compactly supported radial well with closed-form derivative."""
@@ -444,6 +453,14 @@ class _BumpProfile(RadialProfile):
         inside = r < self.L
         u = (r[inside] / self.L) ** 2
         out[inside] = -self.depth * np.exp(self.sharpness * (1.0 - 1.0 / (1.0 - u)))
+        return out
+
+    def rise(self, r):
+        r = np.asarray(r, dtype=float)
+        out = np.full_like(r, self.depth)
+        inside = r < self.L
+        u = (r[inside] / self.L) ** 2
+        out[inside] = -self.depth * np.expm1(-self.sharpness * u / (1.0 - u))
         return out
 
     def derivative(self, r):

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline, PPoly
 
 from .fields import Params, RadialProfile, bump_profile
-from .kernels import GRADED_POINTS, bilinear_constant, gauss_panels, graded_breaks, screening_weight
+from .kernels import bilinear_constant, gauss_panels, graded_rule, screening_weight
 from .transform import radial_velocity
 from .blowup import sphere_area
 
@@ -187,16 +187,13 @@ def weighted_profile_integral(f, r, n: int):
     """int_0^r (f(r) - f(rho)) rho^{n-1} d(rho) at every radius r >= 0 (a
     float for a scalar r), as (1/n) int_0^{min(r, R)} f'(rho) rho^n d(rho) by
     parts (R the support radius), free of the cancellation in f(r) - f(rho):
-    the graded rule on [0, R] split at the radii inside, its panel sums
-    accumulated."""
+    the graded rule on [0, R] with the radii inside among its breakpoints,
+    summed node by node and read off at each radius."""
     r = np.asarray(r, dtype=float)
     R = f.support_radius
-    brk = np.union1d(graded_breaks(R, f.breakpoints), r[(r > 0.0) & (r < R)])
-    rho, w = gauss_panels(brk[:-1], brk[1:], GRADED_POINTS)
-    panels = np.add.reduceat(w * f.derivative(rho) * rho ** n,
-                             np.arange(0, rho.size, GRADED_POINTS))
-    total = np.concatenate([[0.0], np.cumsum(panels) / n])
-    out = total[np.searchsorted(brk, np.clip(r, 0.0, R))]
+    rho, w, _ = graded_rule(R, np.union1d(f.breakpoints, r))
+    total = np.concatenate([[0.0], np.cumsum(w * f.derivative(rho) * rho ** n) / n])
+    out = total[np.searchsorted(rho, np.clip(r, 0.0, R))]
     return float(out) if out.ndim == 0 else out
 
 
@@ -245,29 +242,33 @@ def certify_pointwise(f, params: Params, radii, tolerance: float = 1e-8) -> Cert
     )
 
 
+# Gauss points per octave of the right side's tail beyond the support, and
+# the tail bound relative to the integral at which it stops
+_TAIL_POINTS, _TAIL_TOL = 16, 1e-13
+
+
 def _bilinear_rhs(f, params: Params, delta: float, r, w) -> float:
     """C_{n,delta} int (f - f(0))^2 / |x|^{n+1+delta} w_a(|x|) dx on nodes r,
-    then octaves beyond R until the analytic tail bound falls below 1e-10."""
+    then octaves beyond R until the analytic tail bound falls below 1e-13 of
+    the integral; f - f(0) is `f.rise`, free of cancellation at the origin."""
     n, a = params.n, params.a
-    f0 = float(np.asarray(f.value(np.asarray([0.0])))[0])
     R = f.support_radius
 
     def chunk(rr, ww):
-        vals = (np.asarray(f.value(rr)) - f0) ** 2 * rr ** (-2.0 - delta) \
-            * screening_weight(rr, params)
+        vals = f.rise(rr) ** 2 * rr ** (-2.0 - delta) * screening_weight(rr, params)
         return float(np.dot(ww, vals))
 
     total = chunk(r, w)
     # beyond the support f is constant; extend in octaves until the analytic
     # tail bound (w_a <= (n+1) a^2 / (8 r^2)) is negligible
-    df2 = (float(np.asarray(f.value(np.asarray([R + 1.0])))[0]) - f0) ** 2
+    df2 = float(f.rise(R + 1.0)) ** 2
     lo = R
     while True:
         tail_bound = df2 * (n + 1) * a ** 2 / (8.0 * (2.0 + delta + 1.0) * lo ** (3.0 + delta))
-        if tail_bound <= 1e-10 * abs(total) + 1e-300:
+        if tail_bound <= _TAIL_TOL * abs(total) + 1e-300:
             break
         hi = 2.0 * lo
-        total += chunk(*gauss_panels(lo, hi, GRADED_POINTS))
+        total += chunk(*gauss_panels(lo, hi, _TAIL_POINTS))
         lo = hi
         if lo > 1e9 * max(R, a):
             break
@@ -279,14 +280,19 @@ def certify_bilinear(f, params: Params, deltas, tolerance: float = 1e-6) -> list
     one CertificateReport per weight exponent in `deltas`, each with
     ratio = LHS / RHS (passes when ratio >= 1 - tolerance).
 
-    Both sides integrate on the nodes r of the graded rule on [0, R].  The
-    left side, -int R_a f . grad f / |x|^{n+delta} dx, is -omega_{n-1}
-    int u_r(r) f'(r) r^{-1-delta} dr; u_r is evaluated once for every delta,
-    and only at the nodes where f' != 0 (elsewhere the integrand is 0).  A
-    side that is not finite fails the cell with ratio and slack -inf.
+    Both sides integrate on the nodes r of `graded_rule` on [0, R], split
+    at the profile's breakpoints.  The left side, -int R_a f . grad f /
+    |x|^{n+delta} dx, is -omega_{n-1} int u_r(r) f'(r) r^{-1-delta} dr; u_r
+    is evaluated once for every delta, and only at the nodes where f' != 0
+    (elsewhere the integrand is 0).  Where f'(0) != 0 the left integrand
+    goes like r^-delta log r at the origin, and where f'' or f' jumps at a
+    breakpoint b (the spline's slope jumps at R) u_r carries
+    (r - b) log|r - b|; the rule's mapped panels take both.  Against nested
+    adaptive quadrature the ratio agrees to 1e-13 on splines at delta = 0.25
+    and 0.5 (Tier-1 checks 1e-9) and to 1e-9 at delta = 0.75.  A side that
+    is not finite fails the cell with ratio and slack -inf.
     """
-    brk = graded_breaks(f.support_radius, f.breakpoints)
-    r, w = gauss_panels(brk[:-1], brk[1:], GRADED_POINTS)
+    r, w, _ = graded_rule(f.support_radius, f.breakpoints)
     d = f.derivative(r)
     u = np.zeros_like(r)
     live = d != 0.0

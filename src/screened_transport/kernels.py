@@ -16,8 +16,12 @@ singularity at q = 1; n = 2 and n = 3 return a large finite value there (the
 log of (1 - q)^2 floored at 5e-324), and the radial rule keeps its nodes at
 least one ulp away from it.
 
-Every radial integral takes its nodes from `gauss_panels`; the weighted ones
-(I(t) and the certifier's) take their panels from `graded_breaks`.
+Every radial integral takes its nodes from `gauss_panels`.  The weighted
+ones (I(t), both sides of the bilinear certificate and the pointwise bound's
+profile integral) take them from `graded_rule`: uniform panels split at the
+profile's breakpoints, with one power-mapped panel on each side of the
+origin, of every breakpoint and of the support edge, where the integrands
+go like r^-delta log r or (r - b) log|r - b|.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 from scipy import special
 
 __all__ = ["psi", "psi_quadrature", "screening_weight", "bilinear_constant", "gauss_panels",
-           "graded_breaks"]
+           "graded_rule"]
 
 # relative size of c below which the difference of the two closed forms
 # loses precision (about 1e-16 / c relative) and the cancellation-free
@@ -129,26 +133,89 @@ def gauss_panels(lo, hi, count):
     return half * xg[idx] + np.repeat(0.5 * (hi + lo), count), half * wg[idx]
 
 
-# the graded rule: uniform panels per unit length, halvings toward the
-# origin, and the Gauss points per panel of the integrals that share it
-_PER_UNIT, _DEPTH = 12, 40
-GRADED_POINTS = 16
+# the graded rule of the weighted integrals: _PER_UNIT uniform panels per unit
+# length with _N_GRADED Gauss points, and on each side of every singular point
+# s one panel mapped by r = s -+ h t^p with _N_GRADED points in t.  The map
+# turns r^-delta log r at the origin into t^(p (1 - delta) - 1) log t, and
+# (r - b) log|r - b| at a breakpoint into t^(2p - 1) log t; the origin's
+# steeper map takes a panel _ORIGIN_SHARE as wide, so that it still resolves
+# the smooth part of the integrand
+_PER_UNIT, _N_GRADED = 12, 16
+_ORIGIN_POWER, _ORIGIN_SHARE, _BREAK_POWER = 16, 1.0 / 64.0, 3
+# the fewest Gauss points on a graded panel, and the digits its rule aims for
+_N_MIN, _DIGITS = 4, 16
+_T, _TW = gauss_panels(0.0, 1.0, _N_GRADED)
 
 
-def graded_breaks(upper, breakpoints):
-    """Panel ends on [0, upper]: uniform panels, split at the `breakpoints`
-    inside (0, upper) and graded toward the origin by halvings of upper."""
-    brk = set(np.linspace(0.0, upper, max(4, int(np.ceil(_PER_UNIT * upper))) + 1))
-    brk.update(b for b in np.asarray(breakpoints, float) if 0.0 < b < upper)
-    w = upper
-    for _ in range(_DEPTH):
-        w *= 0.5
-        brk.add(w)
-        if w < 1e-10 * upper:
-            break
-    brk = np.array(sorted(brk))
-    keep = np.concatenate([[True], np.diff(brk) > 1e-13 * upper])
-    return brk[keep]
+def graded_rule(upper, breakpoints):
+    """Nodes, weights and the number of nodes of each panel of the graded
+    rule on [0, upper], in increasing r.
+
+    Its singular points S are 0, the `breakpoints` inside (0, upper) (of two
+    closer than 1e-13 upper, one is dropped) and upper.  The panels are
+    `_PER_UNIT` uniform panels per unit length, split at S.  On each side of
+    every s in S sits one panel [s, s + h] or [s - h, s] mapped by
+    r = s -+ h t^p, with _N_GRADED Gauss points in t; p is _ORIGIN_POWER at
+    the origin and _BREAK_POWER elsewhere, and h is half the smaller of one
+    uniform width and the distance to the nearest other point of S
+    (_ORIGIN_SHARE of that at the origin).  From there the panels grade
+    outward by doublings, at s -+ h 2^k below one uniform width and at most
+    halfway to the next point of S; uniform ends closer than one uniform
+    width to S are dropped, so that no panel has a point of S closer than
+    its own width.  A panel of half a uniform width or more takes _N_GRADED
+    points; a narrower one at distance d from S, of width w, the fewest
+    (_N_MIN to _N_GRADED) whose Gauss rule converges to _DIGITS digits at
+    the rate exp(-2 arccosh(1 + 2 d / w)) per point.  Every node lies inside
+    (0, upper) and at least one ulp away from S.
+    """
+    m = max(4, int(np.ceil(_PER_UNIT * upper)))
+    width = upper / m
+    b = np.asarray(breakpoints, dtype=float).ravel()
+    sing = np.unique(np.concatenate([[0.0, upper], b[(b > 0.0) & (b < upper)]]))
+    sing = sing[np.concatenate([[True], np.diff(sing) > 1e-13 * upper])]
+    sing[-1] = upper
+    gap = np.diff(sing)
+    # the gap on either side of each point of S, 0 where there is none
+    left, right = np.append(0.0, gap), np.append(gap, 0.0)
+    h = 0.5 * np.minimum(width, np.minimum(np.append(np.inf, gap), np.append(gap, np.inf)))
+    h[0] *= _ORIGIN_SHARE
+    out = h[:, None] * 2.0 ** np.arange(int(np.ceil(np.log2(width / h.min()))) + 1)
+    uniform = np.linspace(0.0, upper, m + 1)[1:-1]
+    far = np.abs(uniform[:, None] - sing).min(axis=1) >= (1.0 - 1e-9) * width
+
+    def to_sing(lo, hi):
+        """Distance from [lo, hi] to S, and the index of the last point of S
+        at or below lo."""
+        i = np.searchsorted(sing, lo, side="right") - 1
+        return np.minimum(lo - sing[i], sing[np.minimum(i + 1, sing.size - 1)] - hi), i
+
+    brk = np.unique(np.concatenate([
+        sing, uniform[far],
+        (sing[:, None] - out)[(out < width) & (out <= 0.5 * left[:, None])],
+        (sing[:, None] + out)[(out < width) & (out <= 0.5 * right[:, None])]]))
+    # two neighbours' gradings can meet at their midpoint an ulp apart: an end
+    # closer to the one before than 1e-9 of its distance to S goes
+    brk = brk[np.append(True, np.diff(brk) > 1e-9 * to_sing(brk, brk)[0][1:])]
+    lo, hi = brk[:-1], brk[1:]
+    w = hi - lo
+    d, i = to_sing(lo, hi)
+    count = np.full(lo.size, _N_GRADED)
+    graded = (d > 0.0) & (w < 0.5 * width)
+    per_point = np.arccosh(1.0 + 2.0 * d[graded] / w[graded])
+    count[graded] = np.clip(np.ceil(_DIGITS * np.log(10.0) / (2.0 * per_point)), _N_MIN, _N_GRADED)
+    r, wt = gauss_panels(lo, hi, count)
+    # the mapped panels (d = 0): outward from lo with t ascending, or inward
+    # from hi with t descending, so that the nodes keep increasing
+    mapped = d == 0.0
+    start = (lo == sing[i])[mapped][:, None]
+    s = np.where(start, lo[mapped, None], hi[mapped, None])
+    t, tw = np.where(start, _T, _T[::-1]), np.where(start, _TW, _TW[::-1])
+    p = np.where(s == 0.0, _ORIGIN_POWER, _BREAK_POWER)
+    step = np.maximum(w[mapped, None] * t ** p, np.spacing(s))
+    at = np.repeat(mapped, count)
+    r[at] = np.where(start, s + step, s - step).ravel()
+    wt[at] = (w[mapped, None] * p * t ** (p - 1) * tw).ravel()
+    return r, wt, count
 
 
 def psi_quadrature(n: int, q, c):

@@ -138,7 +138,12 @@ def _run_nd_mode(cfg: ExperimentConfig, outdir: str):
     }
     sg = result.series.column("sup_grad")
     t3 = result.series.t[np.argmax(sg >= 3.0 * sg[0])] if np.any(sg >= 3.0 * sg[0]) else None
-    if t3 is not None and len(result.series) >= 3:
+    # without a window [0, T3] there are no checks; the manifest says why
+    if t3 is None:
+        extra["structural_checks"] = "gradient never reached 3x"
+    elif len(result.series) < 3:
+        extra["structural_checks"] = "fewer than 3 diagnostics records"
+    else:
         extra["riccati_check"] = riccati_check(result.series, bcfg, window_end=t3)
         # read back one at a time; the files hold the samples bit for bit
         window = ((t, load_field(p)[0]) for t, p in result.snapshots.saved if t <= t3)

@@ -355,7 +355,9 @@ def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
     inside the support on the shipped families, 1,727 on 384 markers and
     2,243 on 512.  Targets beyond the support keep the background and are
     graded toward its edge instead, so the certification sweep's targets
-    carry 256 to 694 points.  No node lies on rho = r.  The panels are laid
+    carry 256 to 1,607 points: the most at the certifier's innermost nodes
+    (down to 1e-40), whose diagonal grading doubles out from r / 2 to a
+    background width.  No node lies on rho = r.  The panels are laid
     for _PANELS (64) targets at a time and Psi_n is evaluated once per block
     of _BLOCK (8) targets (`_radial_sums`, which the characteristics solver
     shares); each target is reduced over its own nodes, so its value is bit

@@ -304,6 +304,20 @@ class TestNdMode:
         for col in ("i_delta", "bkm_partial", "origin_value", "support_mass_out"):
             assert col in header
 
+    def test_manifest_says_why_the_structural_checks_are_missing(self, tmp_path, recwarn):
+        # on N = 64 the datum's gradient peaks at 1.8x near t = 1.5 and then
+        # decays as the grid loses the core, so no window [0, T3] exists
+        cfg = parse_config(ND_SMALL.format(out=tmp_path / "nd").replace("t_max = 0.3", "t_max = 2.0"))
+        assert run(cfg) == 0
+        out = tmp_path / "nd"
+        sup_grad = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1, usecols=2)
+        assert 1.5 < sup_grad.max() / sup_grad[0] < 3.0 and sup_grad[-1] < sup_grad.max()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stop_reason"] == "time_limit"
+        assert manifest["structural_checks"] == "gradient never reached 3x"
+        assert "riccati_check" not in manifest
+        assert not (out / "structural_checks.json").exists()
+
     # a leaked file handle fails the test (its warning is raised while the
     # handle is collected, so it arrives as an unraisable exception); the
     # grid's resolution warning is expected

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +20,7 @@ from screened_transport.inequalities import (
     shipped_families,
     weighted_profile_integral,
 )
-from screened_transport.kernels import GRADED_POINTS, gauss_panels, graded_breaks
+from screened_transport.kernels import bilinear_constant, graded_rule, screening_weight
 
 
 P2 = Params(2, 1.0, 1.0)
@@ -53,6 +56,33 @@ def _slope_limits(f):
         left.append(np.polynomial.polynomial.polyval(1.0, coef))
         right.append(coef[0])
     return np.array(left), np.array(right)
+
+
+def _nested_quad_ratio(f, params, delta):
+    """certify_bilinear's ratio LHS / RHS by adaptive quadrature of both
+    outer integrals, split at the profile's breakpoints (where f'' jumps,
+    and u_r carries (r - b) log|r - b|), each piece at 1e-11 relative: the
+    left side -omega int u_r f' r^{-1-delta} dr on [0, R] with u_r from
+    `radial_velocity` (good to 3e-12), the right side C omega int
+    (f - f(0))^2 r^{-2-delta} w_a dr on [0, infinity).  omega cancels."""
+    R = f.support_radius
+    pts = sorted({0.0, R, *(b for b in f.breakpoints if 0.0 < b < R)})
+    f0 = float(f.value(np.array([0.0]))[0])
+
+    def lhs(r):
+        return -radial_velocity(f, params, r) * float(f.derivative(np.array([r]))[0]) \
+            * r ** (-1.0 - delta)
+
+    def rhs(r):
+        return (float(f.value(np.array([r]))[0]) - f0) ** 2 * r ** (-2.0 - delta) \
+            * float(screening_weight(np.array(r), params))
+
+    def pieces(g, ends):
+        return math.fsum(integrate.quad(g, lo, hi, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+                         for lo, hi in zip(ends[:-1], ends[1:]))
+
+    right = bilinear_constant(params.n, delta) * pieces(rhs, pts + [np.inf])
+    return pieces(lhs, pts) / right
 
 
 def _max_slope(f):
@@ -238,6 +268,18 @@ class TestBilinear:
         assert rep.passed
         assert rep.min_ratio >= 1.0
 
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("seed, delta", [(11, 0.25), (35, 0.25), (6, 0.25), (35, 0.5)],
+                             ids=["seed11", "seed35", "seed6_slope_jump_at_R", "seed35_delta0.5"])
+    def test_spline_ratio_matches_nested_quadrature(self, seed, delta):
+        # f'(0) != 0, so both integrands go like r^-delta at the origin (the
+        # left one with a log r), and seed 11 has knots 1.8e-3 apart; seed 6's
+        # slope jumps by 1.73 at R.  The halving rule missed by up to 3.0e-7
+        # (seed 11) at delta = 0.25 and about 1e-5 at delta = 0.5
+        f = TestFunctionFamily("random_monotone_spline", seed=seed).sample()
+        rep, = certify_bilinear(f, P2, [delta])
+        assert rep.min_ratio == pytest.approx(_nested_quad_ratio(f, P2, delta), rel=1e-9, abs=0.0)
+
     @pytest.mark.parametrize("delta", [-0.5, 0.0, 0.5])
     def test_step_family_across_delta(self, delta):
         f = TestFunctionFamily("smoothed_step").sample()
@@ -287,8 +329,7 @@ class TestBilinear:
         from screened_transport.inequalities import _bilinear_rhs
 
         def every_node(f, params, delta):
-            brk = graded_breaks(f.support_radius, f.breakpoints)
-            r, w = gauss_panels(brk[:-1], brk[1:], GRADED_POINTS)
+            r, w, _ = graded_rule(f.support_radius, f.breakpoints)
             integrand = -radial_velocity(f, params, r) * f.derivative(r) * r ** (-1.0 - delta)
             lhs = sphere_area(params.n) * float(np.dot(w, integrand))
             return lhs / _bilinear_rhs(f, params, delta, r, w)

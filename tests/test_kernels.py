@@ -177,13 +177,71 @@ class TestGaussPanels:
         assert np.array_equal(w, (0.5 * (hi - lo)[:, None] * wg).ravel())
 
 
-class TestGradedBreaks:
-    def test_splits_at_breakpoints_and_grades_to_the_origin(self):
-        brk = kernels.graded_breaks(1.5, [0.3, 0.7 + 1e-9, 1.5, 2.0, -1.0])
-        assert brk[0] == 0.0 and brk[-1] == 1.5
-        assert np.all(np.diff(brk) > 0.0)
-        assert {0.3, 0.7 + 1e-9} <= set(brk)
-        assert brk[1] < 1e-10 * 1.5 <= brk[2]
+def _certified_profiles():
+    from screened_transport.inequalities import TestFunctionFamily, shipped_families
+    from screened_transport.radial import blended_markers
+    from screened_transport import RadialProfile
+    labels = blended_markers(96, 1.0)
+    markers = RadialProfile(labels, -np.cos(0.5 * np.pi * labels) ** 2)
+    return ([fam.sample() for fam in shipped_families()] + [markers]
+            + [TestFunctionFamily("random_monotone_spline", seed=s).sample() for s in range(100)])
+
+
+class TestGradedRule:
+    @pytest.mark.parametrize("upper", [0.7, 1.6])
+    @pytest.mark.parametrize("delta", [-0.5, 0.25, 0.5])
+    def test_origin_singularity_in_closed_form(self, upper, delta):
+        # int_0^h r^-delta log r dr = h^(1-delta) (log h / (1-delta) - 1 / (1-delta)^2):
+        # the bilinear left side's behaviour at the origin when f'(0) != 0
+        r, w, _ = kernels.graded_rule(upper, [])
+        exact = upper ** (1.0 - delta) * (np.log(upper) / (1.0 - delta) - 1.0 / (1.0 - delta) ** 2)
+        assert np.dot(w, r ** -delta * np.log(r)) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    def test_breakpoint_singularities_in_closed_form(self):
+        # sum_b (r - b) log|r - b| P(r), P cubic, across spline seed 11's knot
+        # pair 1.8e-3 apart: u_r's term where f'' jumps.  With x = r - b,
+        # int x^m log|x| dx = x^(m+1) (log|x| / (m+1) - 1 / (m+1)^2)
+        knots, upper = [0.2364, 0.2382], 1.0
+        cubic = np.polynomial.Polynomial([0.3, -1.2, 0.7, 2.0])
+
+        def F(x, m):
+            return x ** (m + 1) * (np.log(abs(x)) / (m + 1) - 1.0 / (m + 1) ** 2)
+
+        exact = sum(c * (F(upper - b, k + 1) - F(-b, k + 1))
+                    for b in knots for k, c in enumerate(cubic(np.polynomial.Polynomial([b, 1.0])).coef))
+        r, w, count = kernels.graded_rule(upper, knots)
+        got = np.dot(w, sum((r - b) * np.log(np.abs(r - b)) for b in knots) * cubic(r))
+        assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
+        assert count.sum() == r.size
+
+    def test_nodes_lie_inside_off_the_breakpoints_and_above_the_linear_radius(self):
+        # below r_0 = 1e-60 min(a, L) radial_velocity returns its linear term,
+        # which is not its limit when f'(0) != 0; 0.25 is the smallest shipped a
+        for prof in _certified_profiles():
+            L = prof.support_radius
+            r, w, count = kernels.graded_rule(L, prof.breakpoints)
+            assert np.all(np.diff(r) > 0.0) and np.all(w > 0.0)
+            assert r[0] > 1e-60 * min(0.25, L) and r[-1] < L
+            assert not np.any(np.isin(r, prof.breakpoints))
+            assert count.sum() == r.size and count.min() >= 4
+
+    @pytest.mark.parametrize("seed, most", [(None, 350), (35, 976)], ids=["bump", "spline_seed35"])
+    def test_outer_targets_per_criterion_4_cell(self, monkeypatch, seed, most):
+        # velocity targets of one certify_bilinear call at a = 1; the halving
+        # rule took 703 on the bump and 976 on spline seed 35
+        from screened_transport import TestFunctionFamily, bump_profile, certify_bilinear
+        from screened_transport import inequalities, radial_velocity
+        targets = []
+
+        def counted(f, params, r):
+            targets.append(np.size(r))
+            return radial_velocity(f, params, r)
+
+        monkeypatch.setattr(inequalities, "radial_velocity", counted)
+        f = (bump_profile(1.0, 1.0, 2.0) if seed is None
+             else TestFunctionFamily("random_monotone_spline", seed=seed).sample())
+        certify_bilinear(f, Params(2, 1.0, 1.0), [0.25])
+        assert sum(targets) <= most
 
 
 class TestScreeningWeight:

@@ -452,9 +452,8 @@ class TestRadialVelocity:
                              ids=["bump", "spline_seed35"])
     def test_points_per_target_on_criterion_4_cells(self, prof, psi_inputs):
         # the targets of a certification cell: the nodes of the graded rule
-        from screened_transport.kernels import GRADED_POINTS, gauss_panels, graded_breaks
-        brk = graded_breaks(prof.support_radius, prof.breakpoints)
-        r, _ = gauss_panels(brk[:-1], brk[1:], GRADED_POINTS)
+        from screened_transport.kernels import graded_rule
+        r, _, _ = graded_rule(prof.support_radius, prof.breakpoints)
         radial_velocity(prof, Params(2, 1.0, 1.0), r)
         assert sum(map(np.size, psi_inputs)) <= 500 * len(r)
 
