@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import gamma as _gamma
 
-from .fields import Params, RadialProfile, ScalarField
+from .fields import Params, RadialProfile, ScalarField, pchip
 from .kernels import bilinear_constant, graded_rule, screening_weight
 
 __all__ = [
@@ -102,6 +102,16 @@ class DiagnosticsSeries:
 # the weighted functional
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _unsplit_rule(upper: float):
+    """Nodes and weights of `graded_rule(upper, ())`, read-only: a 2-D run
+    integrates on the same rule at every diagnostics record."""
+    r, wt, _ = graded_rule(upper, ())
+    r.setflags(write=False)
+    wt.setflags(write=False)
+    return r, wt
+
+
 def blowup_functional(rho, cfg: BlowupConfig) -> float:
     """I = int_{B_L} (rho - rho(0)) / |x|^{n+delta} dx.
 
@@ -110,24 +120,29 @@ def blowup_functional(rho, cfg: BlowupConfig) -> float:
     r^{-1-delta} dr with the angular mean taken over equal-radius lattice
     classes.  Both integrate by the certifier's graded rule (`graded_rule`):
     uniform panels, split at a radial profile's breakpoints (a scalar field
-    passes none), with a power-mapped panel at the weight's integrable
-    singularity at the origin and on each side of every breakpoint.  A
-    profile's rho - rho(0) is its `rise`, free of cancellation at the
-    origin.
+    passes none, so its rule is built once per support radius), with a
+    power-mapped panel at the weight's integrable singularity at the origin
+    and on each side of every breakpoint.  A profile's rho - rho(0) is its
+    `rise`, free of cancellation at the origin; a field's angular means are
+    interpolated by `pchip` in r^2.
     """
     if isinstance(rho, RadialProfile):
-        rise, breakpoints = rho.rise, rho.breakpoints
+        rise = rho.rise
+        r, wt, _ = graded_rule(cfg.support_radius, rho.breakpoints)
     elif isinstance(rho, ScalarField):
         radii, means = rho.grid.radial_average(rho.values)
         sel = radii <= cfg.support_radius + 2.0 * rho.grid.spacing
         # interpolate in r^2: smooth fields are smooth functions of r^2, so
         # the innermost segment (which the weight emphasizes) stays accurate
-        pch = PchipInterpolator(radii[sel] ** 2, means[sel], extrapolate=True)
+        pch = pchip(radii[sel] ** 2, means[sel])
         origin = float(rho.values[rho.grid.origin_index])
-        rise, breakpoints = (lambda r: pch(r * r) - origin), ()
+
+        def rise(r):
+            return pch(r * r) - origin
+
+        r, wt = _unsplit_rule(cfg.support_radius)
     else:
         raise TypeError(f"expected RadialProfile or ScalarField, got {type(rho)!r}")
-    r, wt, _ = graded_rule(cfg.support_radius, breakpoints)
     vals = np.asarray(rise(r), dtype=float) * r ** (-1.0 - cfg.delta)
     # not np.dot: above about 8,000 nodes (a 512-marker profile has 18,000)
     # OpenBLAS would start its threads for it

@@ -19,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "Params",
@@ -27,6 +26,9 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "RadialProfile",
+    "PiecewisePoly",
+    "pchip",
+    "hermite",
     "make_grid",
     "bump_profile",
     "fractional_laplacian",
@@ -361,6 +363,90 @@ def evaluate_at(f: ScalarField, points: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# piecewise polynomials
+# ---------------------------------------------------------------------------
+
+class PiecewisePoly:
+    """Piecewise polynomial in SciPy's `PPoly` layout: on [x[i], x[i+1]] it
+    is sum_k c[k, i] (r - x[i])^(K - k), K = len(c) - 1.
+
+    The same bits as `PPoly`: a point takes the piece searchsorted(x, r,
+    "right") - 1, clipped to the end pieces (so r = x[-1] takes the last
+    piece, and points outside extrapolate), and the power sum
+    (0 + c[K]) + c[K-1] s + c[K-2] s^2 + ..., with s = r - x[i] and s^k
+    built by repeated multiplication: the order of SciPy's compiled loop.
+    """
+
+    def __init__(self, c, x):
+        self.c = np.ascontiguousarray(c, dtype=float)
+        self.x = np.ascontiguousarray(x, dtype=float)
+
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        # the piece: how many inner knots lie at or below r
+        i = np.searchsorted(self.x[1:-1], r, "right")
+        s = r - self.x[i]
+        out = self.c[-1].take(i)
+        out += 0.0
+        z = s.copy()
+        for k in range(len(self.c) - 2, -1, -1):
+            term = self.c[k].take(i)
+            term *= z
+            out += term
+            if k:
+                z *= s
+        return out
+
+    def derivative(self) -> "PiecewisePoly":
+        return PiecewisePoly(self.c[:-1] * np.arange(len(self.c) - 1, 0, -1.0)[:, None], self.x)
+
+
+def hermite(x, y, dydx) -> PiecewisePoly:
+    """The cubic with values y and slopes dydx at the strictly increasing
+    knots x, coefficients formed as SciPy's `CubicHermiteSpline` forms them."""
+    x, y, dydx = (np.asarray(v, dtype=float) for v in (x, y, dydx))
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    return PiecewisePoly(np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])), x)
+
+
+def _pchip_edge(h0, h1, m0, m1) -> float:
+    """The end slope: the one-sided three-point estimate, zeroed where its
+    sign differs from the end secant's and capped at 3 m0 where the secants
+    change sign."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip(x, y) -> PiecewisePoly:
+    """The monotone (shape-preserving) cubic through (x, y), x strictly
+    increasing, bit for bit SciPy's `PchipInterpolator`: at an interior knot
+    the slope is 0 where the secants m_{k-1}, m_k are 0 or differ in sign,
+    and else their weighted harmonic mean with w1 = 2 h_k + h_{k-1} and
+    w2 = h_k + 2 h_{k-1} (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980;
+    Fritsch & Butland, SIAM J. Sci. Stat. Comput. 5, 1984); end slopes from
+    `_pchip_edge`.  Two points give the line."""
+    x, y = (np.asarray(v, dtype=float) for v in (x, y))
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if len(x) == 2:
+        return hermite(x, y, np.array([m[0], m[0]]))
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d = np.concatenate([[_pchip_edge(h[0], h[1], m[0], m[1])], np.where(flat, 0.0, mean),
+                        [_pchip_edge(h[-1], h[-2], m[-1], m[-2])]])
+    return hermite(x, y, d)
+
+
+# ---------------------------------------------------------------------------
 # radial profiles
 # ---------------------------------------------------------------------------
 
@@ -369,8 +455,8 @@ class RadialProfile:
     0 = r_0 < r_1 < ... < r_M, constant beyond r_M = support_radius.
 
     Built from nodes it is their shape-preserving (monotone cubic)
-    interpolant, so a nondecreasing node set stays nondecreasing between
-    nodes; `from_poly` takes a SciPy piecewise polynomial instead.  The
+    interpolant (`pchip`), so a nondecreasing node set stays nondecreasing
+    between nodes; `from_poly` takes a `PiecewisePoly` instead.  The
     derivative at r_M is the polynomial's left limit, and 0 beyond.
     Subclasses may override `value`/`derivative` with closed forms, and then
     `rise` too.
@@ -389,17 +475,17 @@ class RadialProfile:
         self.values = values
 
     @classmethod
-    def from_poly(cls, poly) -> "RadialProfile":
-        """The profile equal to the SciPy piecewise polynomial `poly` (a PPoly,
-        such as a CubicHermiteSpline) on [0, poly.x[-1]]; its breakpoints
-        poly.x must start at 0."""
+    def from_poly(cls, poly: PiecewisePoly) -> "RadialProfile":
+        """The profile equal to the piecewise polynomial `poly` (such as a
+        `hermite` cubic) on [0, poly.x[-1]]; its breakpoints poly.x must
+        start at 0."""
         prof = cls(poly.x, poly(poly.x))
         prof._poly = poly  # takes the place of the node interpolant
         return prof
 
     @cached_property
     def _poly(self):
-        return PchipInterpolator(self.nodes, self.values, extrapolate=False)
+        return pchip(self.nodes, self.values)
 
     @cached_property
     def _poly_derivative(self):

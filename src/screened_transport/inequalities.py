@@ -23,9 +23,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PPoly
 
-from .fields import Params, RadialProfile, bump_profile
+from .fields import Params, PiecewisePoly, RadialProfile, bump_profile, hermite
 from .kernels import bilinear_constant, gauss_panels, graded_rule, screening_weight
 from .transform import radial_velocity
 from .blowup import sphere_area
@@ -54,7 +53,7 @@ def _smoothed_step(height, center, width) -> RadialProfile:
     # -h + h (10 t^3 - 15 t^4 + 6 t^5), t = (r - r0 + w) / 2w, in powers of r - r0 + w
     c = [[0.0, 6.0 * h / (2.0 * w) ** 5], [0.0, -15.0 * h / (2.0 * w) ** 4],
          [0.0, 10.0 * h / (2.0 * w) ** 3], [0.0, 0.0], [0.0, 0.0], [-h, -h]]
-    return RadialProfile.from_poly(PPoly(c, [0.0, r0 - w, r0 + w]))
+    return RadialProfile.from_poly(PiecewisePoly(c, [0.0, r0 - w, r0 + w]))
 
 
 def _smoothed_ramp(height, start, stop, corner) -> RadialProfile:
@@ -67,7 +66,7 @@ def _smoothed_ramp(height, start, stop, corner) -> RadialProfile:
         raise ValueError("corners overlap")
     s = h / (b - a)
     # cubic Hermite data of the quadratic corners and the linear middle
-    return RadialProfile.from_poly(CubicHermiteSpline(
+    return RadialProfile.from_poly(hermite(
         [0.0, a - c, a + c, b - c, b + c], [-h, -h, s * c - h, -s * c, 0.0], [0.0, 0.0, s, s, 0.0]))
 
 

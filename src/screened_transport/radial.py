@@ -5,20 +5,21 @@ For radial data the transport equation closes over profiles rho(r, t):
     d(position)/dt = g * u_r(position),   values constant along trajectories,
 
 where u_r is the radial velocity of the current profile.  Markers carry the
-initial values forever; the profile at any time is the monotone interpolant
-through (position, value).  Marker collision (a gap collapsing to a set
-fraction of its initial size) is the discrete signature of gradient blow-up.
+initial values forever; the profile at any time is the monotone cubic
+(PCHIP, `fields.pchip`) through (position, value).  Marker collision (a gap
+collapsing to a set fraction of its initial size) is the discrete signature
+of gradient blow-up.
 
 Values are constant along characteristics, so f'(rho) drho = f_0'(s) ds, and
 the velocity is integrated in the marker label s:
 
     u_r(r_i) = -(1 / (pi r_i^n)) int_0^L f_0'(s) X(s)^n Psi_n(X(s) / r_i, (a / r_i)^2) ds,
 
-with X the flow map (the monotone cubic interpolant of labels -> current
-positions, so X(s_i) = r_i) and f_0 the datum.  The nodes in s are the
-radial rule of `transform` placed at the target labels and the datum's
-breakpoints (about 300 per target for the bump, at any marker count); they
-and the weights w_j f_0'(s_j) are built once per run.  A stage evaluates X
+with X the flow map (the PCHIP of labels -> current positions, so
+X(s_i) = r_i) and f_0 the datum.  The nodes in s are the radial rule of
+`transform` placed at the target labels and the datum's breakpoints (about
+300 per target for the bump, at any marker count); they and the weights
+w_j f_0'(s_j) are built once per run.  A stage evaluates X
 at the fixed nodes and reduces by `transform._radial_sums`.  The flow map's
 knots (the labels) are not panel ends, and X is only C^1 there.  Against
 nested quadrature split at every label, on the same X and f_0', this costs
@@ -35,11 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import transform
 from .blowup import BlowupConfig, DiagnosticsSeries, blowup_functional
-from .fields import Params, RadialProfile
+from .fields import Params, RadialProfile, pchip
 from .rk4 import Stop, rk4, time_loop
 # not called here: bench/tracing.py wraps radial.radial_velocity
 from .transform import radial_velocity  # noqa: F401
@@ -143,16 +143,16 @@ def _label_nodes(state: RadialState, a: float) -> list:
     blocks = state._nodes.get(a)
     if blocks is None:
         labels, datum = state.labels, state.datum
-        rule = transform._radial_blocks(labels[1:], float(labels[-1]), datum.breakpoints, a)
-        blocks = state._nodes[a] = [(1 + mine, s, w * datum.derivative(s), size)
-                                    for mine, s, w, size in rule]
+        rule = transform._radial_blocks(labels[1:], float(labels[-1]), datum.breakpoints, a,
+                                        datum.derivative)
+        blocks = state._nodes[a] = [(1 + mine, s, wf, size) for mine, s, wf, size in rule]
     return blocks
 
 
 def _velocity(state: RadialState, params: Params, positions: np.ndarray) -> np.ndarray:
     """u_r at the markers when they sit at `positions`: the label integral
     over the flow map labels -> positions.  The origin marker's is 0."""
-    flow = PchipInterpolator(state.labels, positions)
+    flow = pchip(state.labels, positions)
     u = np.zeros_like(positions)
     for idx, s, f, size in _label_nodes(state, params.a):
         u[idx] = transform._radial_sums(params.n, params.a, positions[idx], flow(s), f, size)

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 from scipy import special
-from scipy.interpolate import RectBivariateSpline
-from scipy.ndimage import map_coordinates
 
 from .fields import Params, ScalarField, VectorField
 from .kernels import gauss_panels, psi
@@ -90,6 +88,11 @@ def screened_riesz_divergence(f: ScalarField, params: Params) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 def _interpolator(f: ScalarField):
+    # imported here: nothing else in the package needs SciPy's spline and
+    # image modules, which are slow to import
+    from scipy.interpolate import RectBivariateSpline
+    from scipy.ndimage import map_coordinates
+
     g = f.grid
     if g.n == 2:
         sp = RectBivariateSpline(g.axis_coords, g.axis_coords, f.values, kx=5, ky=5)
@@ -305,25 +308,29 @@ def _radial_nodes(lo, hi, count, side):
     return rho, wt
 
 
-def _radial_blocks(x: np.ndarray, support: float, breakpoints, a: float):
+def _radial_blocks(x: np.ndarray, support: float, breakpoints, a: float, derivative):
     """The radial rule at the targets x > 0 (`_radial_panels`, split at the
     `breakpoints` inside (0, support)) in blocks of _BLOCK targets.  Yields,
-    per block, the index of its targets in x, their nodes and weights laid
-    end to end, and the number of nodes of each target.  The panels are laid
-    for _PANELS targets at a time and cut into blocks by owner; a target's
-    panels depend only on the target, so the blocks are the same bits as
-    panels laid per block."""
+    per block, the index of its targets in x, their nodes rho_j laid end to
+    end, the products w_j derivative(rho_j) of the weights and f', and the
+    number of nodes of each target.  The panels, the nodes and the products
+    are formed for _PANELS targets at a time and sliced into blocks: one
+    `derivative` call per _PANELS targets.  A target's panels depend only on
+    the target, and every node and product only on its panel, so the blocks
+    are the same bits as panels laid per block."""
     inner = np.asarray(breakpoints, dtype=float)
     inner = inner[(inner > 0.0) & (inner < support)]
     for start in range(0, len(x), _PANELS):
         chunk = x[start:start + _PANELS]
         owner, lo, hi, count, side = _radial_panels(chunk, support, inner, a)
-        first = np.arange(0, len(chunk), _BLOCK)
-        cuts = np.append(np.searchsorted(owner, first), len(owner))
-        for b, i, j in zip(first, cuts[:-1], cuts[1:]):
-            rho, wt = _radial_nodes(lo[i:j], hi[i:j], count[i:j], side[i:j])
-            yield (start + np.arange(b, min(b + _BLOCK, len(chunk))), rho, wt,
-                   np.bincount(owner[i:j] - b, weights=count[i:j]).astype(int))
+        rho, wt = _radial_nodes(lo, hi, count, side)
+        wf = wt * derivative(rho)
+        size = np.bincount(owner, weights=count).astype(int)
+        ends = np.append(0, np.cumsum(size))
+        for b in range(0, len(chunk), _BLOCK):
+            e = min(b + _BLOCK, len(chunk))
+            i, j = ends[b], ends[e]
+            yield start + np.arange(b, e), rho[i:j], wf[i:j], size[b:e]
 
 
 def _radial_sums(n: int, a: float, x: np.ndarray, rho: np.ndarray, f: np.ndarray,
@@ -387,8 +394,8 @@ def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
     live = np.flatnonzero(targets > 0.0)
     r0 = _LINEAR * min(a, L)
     x = np.maximum(targets[live], r0)
-    for mine, rho, wt, size in _radial_blocks(x, L, prof.breakpoints, a):
-        out[live[mine]] = _radial_sums(n, a, x[mine], rho, wt * prof.derivative(rho), size)
+    for mine, rho, wf, size in _radial_blocks(x, L, prof.breakpoints, a, prof.derivative):
+        out[live[mine]] = _radial_sums(n, a, x[mine], rho, wf, size)
     tiny = live[targets[live] < r0]
     out[tiny] = targets[tiny] * (out[tiny] / r0)
     return float(out[0]) if scalar else out

@@ -31,17 +31,18 @@ P2 = Params(2, 1.0, 1.0)
 def _nested_quad_functional(prof, cfg):
     """omega_{n-1} int_0^L (f(r) - f(0)) r^{-1-delta} dr by adaptive
     quadrature, split at the profile's breakpoints and at L 2^-k toward the
-    weight's singularity at the origin.  f(r) - f(0) cancels near the
-    origin, so each piece also stops at an absolute 1e-14 (the values tested
-    are 2 to 30)."""
-    L, f0 = cfg.support_radius, prof.origin_value()
+    weight's singularity at the origin.  f(r) - f(0) is the profile's
+    `rise`, free of the cancellation of f(r) - f(0) near the origin: on the
+    profiles tested this oracle is within 1.3e-16 of mpmath at 30 digits,
+    where the subtracted form was off by up to 6.4e-14."""
+    L = cfg.support_radius
 
     def integrand(r):
-        return (float(prof.value(np.array([r]))[0]) - f0) * r ** (-1.0 - cfg.delta)
+        return float(prof.rise(np.array([r]))[0]) * r ** (-1.0 - cfg.delta)
 
     pts = sorted({0.0, *(L * 2.0 ** -k for k in range(60)),
                   *(b for b in prof.breakpoints if 0.0 < b < L)})
-    total = math.fsum(integrate.quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    total = math.fsum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                       for lo, hi in zip(pts[:-1], pts[1:]))
     return sphere_area(cfg.params.n) * total
 
@@ -120,10 +121,11 @@ class TestBlowupFunctional:
                                       _marker_bump(32), bump_profile(2.0, 1.0, 4.0)],
                              ids=["spline_seed6", "markers32_bump", "bump_L2"])
     def test_matches_nested_quadrature(self, prof):
-        # the panels split at the profile's breakpoints, where f' or f'' jumps
+        # the panels split at the profile's breakpoints, where f' or f'' jumps;
+        # measured within 2.2e-16 of the oracle
         cfg = BlowupConfig(0.25, prof.support_radius, P2)
         want = _nested_quad_functional(prof, cfg)
-        assert blowup_functional(prof, cfg) == pytest.approx(want, rel=1e-10, abs=0.0)
+        assert blowup_functional(prof, cfg) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):

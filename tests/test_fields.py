@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import scipy.fft as sfft
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator, PPoly
+
+import screened_transport
 
 from screened_transport import (
     Params,
@@ -18,7 +25,8 @@ from screened_transport import (
     save_field,
     sobolev_norm,
 )
-from screened_transport.fields import profile_to_csv
+from screened_transport.fields import PiecewisePoly, hermite, pchip, profile_to_csv
+from screened_transport.inequalities import TestFunctionFamily
 
 from conftest import full_grid
 
@@ -298,6 +306,93 @@ class TestRadialProfile:
         prof = RadialProfile(np.array([0.0, 1.0]), np.array([-1.0, 0.0]))
         assert prof.value(np.array([2.0]))[0] == 0.0
         assert prof.derivative(np.array([2.0]))[0] == 0.0
+
+
+def _points(x, rng):
+    """Random points across [x[0], x[-1]] and beyond both ends, every knot,
+    and the last knot on its own."""
+    span = x[-1] - x[0]
+    return np.concatenate([rng.uniform(x[0] - 0.1 * span, x[-1] + 0.1 * span, 400), x, [x[-1]]])
+
+
+def _assert_same_bits(ours, scipys, r):
+    assert np.array_equal(ours.x, scipys.x)
+    assert np.array_equal(ours.c, scipys.c)
+    assert np.array_equal(ours(r), scipys(r))
+    assert np.array_equal(ours.derivative()(r), scipys.derivative()(r))
+
+
+class TestPiecewisePoly:
+    """The in-house interpolants against SciPy's, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pchip_on_random_monotone_data(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, 5 + 7 * seed))])
+        y = np.cumsum(rng.uniform(0.0, 1.0, x.size))
+        _assert_same_bits(pchip(x, y), PchipInterpolator(x, y), _points(x, rng))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pchip_on_flat_runs_and_sign_changes(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        x = np.cumsum(rng.uniform(0.05, 1.0, 30))
+        y = np.round(rng.normal(size=30))  # repeated values and both slope signs
+        _assert_same_bits(pchip(x, y), PchipInterpolator(x, y), _points(x, rng))
+
+    @pytest.mark.parametrize("y, slope", [([0.0, 1.0, 5.0], 0.0),     # estimate turns sign
+                                          ([0.0, 1.0, -9.0], 3.0)],   # capped at 3 m0
+                             ids=["sign_flip", "three_secants"])
+    def test_pchip_end_slope_branches(self, y, slope, rng):
+        x = np.array([0.0, 1.0, 2.0])
+        ours = pchip(x, y)
+        assert ours.c[2, 0] == slope
+        _assert_same_bits(ours, PchipInterpolator(x, y), _points(x, rng))
+
+    def test_pchip_through_two_points_is_the_line(self, rng):
+        x, y = np.array([0.0, 0.3]), np.array([-1.0, 2.0])
+        ours = pchip(x, y)
+        assert np.array_equal(ours.c[:2], [[0.0], [0.0]])
+        _assert_same_bits(ours, PchipInterpolator(x, y), _points(x, rng))
+
+    def test_pchip_in_r_squared_of_lattice_means(self, rng):
+        # the interpolant `blowup_functional` builds for a 2-D field, at the
+        # r^2 of its nodes
+        g = make_grid(2, 4.0, 64)
+        radii, means = g.radial_average(sample_radial(bump_profile(2.0, 1.0, 4.0), g).values)
+        sel = radii <= 2.0 + 2.0 * g.spacing
+        x = radii[sel] ** 2
+        r = np.concatenate([_points(x, rng), np.linspace(1e-8, 2.0, 500) ** 2])
+        _assert_same_bits(pchip(x, means[sel]), PchipInterpolator(x, means[sel]), r)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hermite(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        x = np.cumsum(rng.uniform(0.05, 1.0, 12))
+        y, dydx = rng.normal(size=(2, 12))
+        _assert_same_bits(hermite(x, y, dydx), CubicHermiteSpline(x, y, dydx), _points(x, rng))
+
+    def test_degree_five_smoothed_step(self, rng):
+        poly = TestFunctionFamily("smoothed_step", (1.0, 0.7, 0.25)).sample()._poly
+        assert isinstance(poly, PiecewisePoly) and poly.c.shape == (6, 2)
+        _assert_same_bits(poly, PPoly(poly.c, poly.x), _points(poly.x, rng))
+
+    def test_scalar_point(self):
+        x, y = np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 1.5])
+        assert float(pchip(x, y)(0.25)) == float(PchipInterpolator(x, y)(0.25))
+
+
+def test_import_leaves_scipy_interpolation_unloaded():
+    # a fresh interpreter: the package builds its own monotone cubics, and
+    # only the direct 2-D/3-D quadrature loads SciPy's splines, on first use
+    src = os.path.dirname(os.path.dirname(os.path.abspath(screened_transport.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, screened_transport, screened_transport.runner; "
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.ndimage', 'scipy.optimize') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestSymmetryHelpers:

@@ -339,8 +339,8 @@ class TestRadialVelocity:
         f = TestFunctionFamily("smoothed_step", (1.0, 0.7, 0.25)).sample()
         x = np.geomspace(0.01, 3.0, 20)
         L = f.support_radius
-        for mine, rho, wt, size in transform._radial_blocks(x, L, f.breakpoints, 0.5):
-            g = wt * f.derivative(rho)
+        for mine, rho, g, size in transform._radial_blocks(x, L, f.breakpoints, 0.5,
+                                                            f.derivative):
             got = transform._radial_sums(n, 0.5, x[mine], rho, g, size)
             ends = np.cumsum(size)
             for i, (xi, lo, hi) in enumerate(zip(x[mine], ends - size, ends)):
@@ -351,8 +351,9 @@ class TestRadialVelocity:
 
     def test_panels_laid_per_64_targets_match_per_block(self, monkeypatch):
         # 130 targets on spline seed 6 (inner breakpoints, targets beyond the
-        # support): the panels are laid for 64, 64 and 2 targets and cut into
-        # blocks of 8, with the bits of panels laid block by block
+        # support): the panels, nodes and w f' are formed for 64, 64 and 2
+        # targets and cut into blocks of 8, with the bits of panels laid
+        # block by block
         prof = TestFunctionFamily("random_monotone_spline", seed=6).sample()
         L = prof.support_radius
         x = np.geomspace(1e-3, 2.0 * L, 130)
@@ -366,15 +367,15 @@ class TestRadialVelocity:
             return panels(*args)
 
         monkeypatch.setattr(transform, "_radial_panels", counted_panels)
-        got = list(transform._radial_blocks(x, L, prof.breakpoints, 0.5))
+        got = list(transform._radial_blocks(x, L, prof.breakpoints, 0.5, prof.derivative))
         assert laid == [64, 64, 2]
         assert len(got) == 17
-        for k, (mine, rho, wt, size) in enumerate(got):
+        for k, (mine, rho, wf, size) in enumerate(got):
             assert np.array_equal(mine, np.arange(8 * k, min(8 * k + 8, 130)))
             owner, lo, hi, count, side = panels(x[mine], L, inner, 0.5)
             want_rho, want_wt = transform._radial_nodes(lo, hi, count, side)
             assert np.array_equal(rho, want_rho)
-            assert np.array_equal(wt, want_wt)
+            assert np.array_equal(wf, want_wt * prof.derivative(want_rho))
             assert np.array_equal(size, np.bincount(owner, weights=count).astype(int))
 
     @pytest.mark.parametrize("n", [2, 3])
