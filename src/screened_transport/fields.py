@@ -6,7 +6,8 @@ wavenumber set is {-N/2, ..., N/2-1} * (pi / half_width).  Odd (imaginary)
 symbols zero the unpaired Nyquist modes so that real fields stay real.
 
 Every field is real, so the spectral operators act on the `rfftn` half
-spectrum (last axis 0..N/2) and transform back with `irfftn`.  Norms are
+spectrum (last axis 0..N/2) and transform back with `irfftn`, both built
+from `numpy.fft` passes with SciPy's bits.  Norms are
 Parseval sums over it: each half-grid column stands for itself and its
 mirror (weight 2), except the zero and Nyquist columns (weight 1).
 """
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as sfft
 
 __all__ = [
     "Params",
@@ -120,7 +120,7 @@ class Grid:
 
     @cached_property
     def axis_wavenumbers(self) -> np.ndarray:
-        return 2.0 * np.pi * sfft.fftfreq(self.N, d=self.spacing)
+        return 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.spacing)
 
     def _half_mesh(self, leading: np.ndarray, last: np.ndarray) -> list:
         # 'ij' meshgrid over the half grid: `leading` on axes 0..n-2, `last`
@@ -132,7 +132,7 @@ class Grid:
         """k_j per axis on the half grid; the Nyquist column carries +N/2,
         which even symbols read through |k| and odd symbols zero."""
         return self._half_mesh(self.axis_wavenumbers,
-                               2.0 * np.pi * sfft.rfftfreq(self.N, d=self.spacing))
+                               2.0 * np.pi * np.fft.rfftfreq(self.N, d=self.spacing))
 
     @cached_property
     def half_wavenumber_magnitude(self) -> np.ndarray:
@@ -231,6 +231,28 @@ def make_grid(n: int, half_width: float, N: int) -> Grid:
     return Grid(n, half_width, N)
 
 
+def rfftn(x: np.ndarray) -> np.ndarray:
+    """SciPy's `rfftn(x)` bit for bit from one-axis `numpy.fft` passes:
+    `rfft` on the last axis, then `fft` over axes 0..n-2 in increasing order
+    (`numpy.fft.rfftn` runs them in decreasing order, other bits in 3-D)."""
+    sp = np.fft.rfft(x)
+    for axis in range(x.ndim - 1):
+        sp = np.fft.fft(sp, axis=axis)
+    return sp
+
+
+def irfftn(sp: np.ndarray, shape) -> np.ndarray:
+    """SciPy's `irfftn(sp, s=shape)` bit for bit: unscaled `ifft` over axes
+    0..n-2 in increasing order, `irfft` on the last axis, then one scaling
+    by 1 / N^n (`numpy.fft.irfftn` scales each pass, other bits unless N is
+    a power of two)."""
+    for axis in range(len(shape) - 1):
+        sp = np.fft.ifft(sp, axis=axis, norm="forward")
+    out = np.fft.irfft(sp, n=shape[-1], norm="forward")
+    out *= 1.0 / out.size
+    return out
+
+
 class ScalarField:
     """Real scalar samples on a Grid with a lazily computed half spectrum.
 
@@ -253,13 +275,13 @@ class ScalarField:
     @classmethod
     def from_half_spectrum(cls, grid: Grid, half_spectrum: np.ndarray) -> "ScalarField":
         """The real field whose `rfftn` is `half_spectrum`."""
-        return cls(grid, sfft.irfftn(half_spectrum, s=grid.shape), _half_spectrum=half_spectrum)
+        return cls(grid, irfftn(half_spectrum, grid.shape), _half_spectrum=half_spectrum)
 
     @property
     def half_spectrum(self) -> np.ndarray:
         """`rfftn` of the samples (last axis 0..N/2), cached on first access."""
         if self._half_spectrum is None:
-            self._half_spectrum = sfft.rfftn(self.values)
+            self._half_spectrum = rfftn(self.values)
         return self._half_spectrum
 
     def l2_norm(self) -> float:
@@ -299,7 +321,7 @@ class VectorField:
         return float(self.magnitude().max())
 
     def l2_norm(self) -> float:
-        return self.grid.parseval_norm(sum(np.abs(sfft.rfftn(c)) ** 2 for c in self.components))
+        return self.grid.parseval_norm(sum(np.abs(rfftn(c)) ** 2 for c in self.components))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +353,7 @@ def gradient(f: ScalarField) -> VectorField:
     """Spectral gradient; Nyquist modes are zeroed to keep components real."""
     g = f.grid
     sp = f.half_spectrum
-    return VectorField(g, [sfft.irfftn(m * sp, s=g.shape) for m in g.half_gradient_symbols])
+    return VectorField(g, [irfftn(m * sp, g.shape) for m in g.half_gradient_symbols])
 
 
 def max_gradient(f: ScalarField) -> float:
@@ -346,14 +368,18 @@ def evaluate_at(f: ScalarField, points: np.ndarray) -> np.ndarray:
     quadrature cross-checks.  It sums the full `fftn` spectrum, in which each
     Nyquist index carries the wavenumber -N/2 only.
     """
+    # imported here: SciPy's full complex `fftn` differs from NumPy's in the
+    # last bits, and nothing else in the package needs `scipy.fft`
+    from scipy.fft import fftn
+
     g = f.grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m1 = sfft.fftfreq(g.N) * g.N
+    m1 = np.fft.fftfreq(g.N) * g.N
     mesh_m = np.meshgrid(*([m1] * g.n), indexing="ij")
     # physical coefficients on [-half, half): the grid origin sits at index 0
     # of the DFT, which shifts each axis phase by pi per integer mode
     phase = sum(mesh_m)
-    coef = sfft.fftn(f.values) / g.size * np.exp(1j * np.pi * phase)
+    coef = fftn(f.values) / g.size * np.exp(1j * np.pi * phase)
     ks = np.meshgrid(*([g.axis_wavenumbers] * g.n), indexing="ij")
     out = np.empty(len(pts))
     for i, p in enumerate(pts):

@@ -18,13 +18,13 @@ the velocity is integrated in the marker label s:
 with X the flow map (the PCHIP of labels -> current positions, so
 X(s_i) = r_i) and f_0 the datum.  The nodes in s are the radial rule of
 `transform` placed at the target labels and the datum's breakpoints (about
-300 per target for the bump, at any marker count); they and the weights
+175 per target for the bump, at any marker count); they and the weights
 w_j f_0'(s_j) are built once per run.  A stage evaluates X
 at the fixed nodes and reduces by `transform._radial_sums`.  The flow map's
 knots (the labels) are not panel ends, and X is only C^1 there.  Against
 nested quadrature split at every label, on the same X and f_0', this costs
-at most 5.5e-6 relative at the gradient stop of a 32-marker run, 2.4e-5 at
-the innermost markers of a 96-marker run (1.1e-6 of max |u_r|), and 2e-7
+at most 5.2e-6 relative at the gradient stop of a 32-marker run, 2.3e-5 at
+the innermost markers of a 96-marker run (1.6e-6 of max |u_r|), and 2e-7
 at t = 1.52 with 384 markers.
 
 `run_radial` drives `rk4.time_loop` and tests the gradient threshold after

@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 from scipy import special
 
-from .fields import Params, ScalarField, VectorField
+from .fields import Params, ScalarField, VectorField, irfftn
 from .kernels import gauss_panels, psi
 
 __all__ = [
@@ -45,7 +44,7 @@ __all__ = [
 def _apply_directional(f: ScalarField, radial_multiplier) -> VectorField:
     g = f.grid
     sp = f.half_spectrum
-    return VectorField(g, [sfft.irfftn(-1j * s * radial_multiplier * sp, s=g.shape)
+    return VectorField(g, [irfftn(-1j * s * radial_multiplier * sp, g.shape)
                            for s in g.half_unit_directions])
 
 
@@ -215,12 +214,13 @@ _DIAGONAL_NODES, _DIAGONAL_WEIGHTS = _T ** _POWER, _POWER * _T ** (_POWER - 1) *
 # halvings of the grading toward the support's edge for targets beyond it;
 # a breakpoint closer than min(r, L) 2^-_EDGE_DEPTH to min(r, L) merges with it
 _EDGE_DEPTH = 36
-# targets per psi call: a target has at least the background's
-# _BACKGROUND * _N_BACKGROUND points, so a block holds at least 2,048, and
-# at most 5,224 on the certification sweep, which keeps psi's float64
-# temporaries below 64 KiB: glibc's malloc gives larger freed ones back to
-# the system, and every block would page-fault them in again
-_BLOCK = 8
+# targets per psi call: outside a certification cell's origin panel a
+# target takes 136 to 780 points (most about 200), so a full block holds
+# about 2,200 to 5,000, which keeps psi's float64 temporaries below 64 KiB
+# (glibc's malloc gives larger freed ones back to the system, and every
+# block would page-fault them in again); only the block of a cell's 16
+# origin-panel targets (up to 1,497 points each) holds more, about 9,000
+_BLOCK = 16
 # targets per _radial_panels call, whose panels are then cut into blocks: its
 # cost is mostly per call (0.10 ms for 8 targets, 0.20 ms for 64), while the
 # panels of a whole call at once add 4 MB to the certification sweep's peak
@@ -251,11 +251,15 @@ def _radial_panels(x: np.ndarray, support: float, inner: np.ndarray, a: float):
     rho = x +- i a, which would slow the diagonal rule.)  A target at or
     beyond the support keeps the background and is graded toward the support
     from inside, at support (1 - 2^-k) down to the distance
-    (x - support) / 2 or _EDGE_DEPTH halvings.  Background-width panels get
-    _N_BACKGROUND points and the diagonal panels _N_DIAGONAL.  Any other
-    panel at distance d from x, of width w, gets the fewest points (_N_MIN
-    to _N_NARROW) whose Gauss rule converges to _DIGITS digits at the rate
-    exp(-2 arccosh(1 + 2 d / w)) per point that the singularity allows.
+    (x - support) / 2 or _EDGE_DEPTH halvings.  The diagonal panels get
+    _N_DIAGONAL points.  Any other panel at distance d from x, of width w,
+    gets the fewest points whose Gauss rule converges to _DIGITS digits at
+    the rate exp(-2 arccosh(1 + 2 d / w)) per point that the singularity
+    allows: _N_MIN to _N_NARROW on a narrow panel, and _N_MIN to
+    _N_BACKGROUND on a panel at least half a background width wide, whose d
+    is the distance to the nearer of x and the support's edge, where f' may
+    be singular (the bump's is not analytic there), so that the panels
+    touching the edge keep _N_BACKGROUND.
     """
     width = support / _BACKGROUND
     xc = x[:, None]
@@ -283,10 +287,13 @@ def _radial_panels(x: np.ndarray, support: float, inner: np.ndarray, a: float):
     owner = np.broadcast_to(np.arange(len(x))[:, None], w.shape)[keep]
     lo, hi, w = brk[:, :-1][keep], brk[:, 1:][keep], w[keep]
     xo = x[owner]
+    d = np.maximum(lo - xo, xo - lo - w)
+    wide = w >= 0.5 * width
+    d[wide] = np.minimum(d[wide], support - hi[wide])
     with np.errstate(divide="ignore"):
-        per_point = np.arccosh(1.0 + 2.0 * np.maximum(lo - xo, xo - lo - w) / w)
-        count = np.clip(np.ceil(_DIGITS * np.log(10.0) / (2.0 * per_point)), _N_MIN, _N_NARROW)
-    count[w >= 0.5 * support / _BACKGROUND] = _N_BACKGROUND
+        per_point = np.arccosh(1.0 + 2.0 * d / w)
+        count = np.ceil(_DIGITS * np.log(10.0) / (2.0 * per_point))
+    count = np.clip(count, _N_MIN, np.where(wide, _N_BACKGROUND, _N_NARROW))
     side = np.where(xo < support, (lo == xo).astype(int) - (hi == xo), 0)
     count[side != 0] = _N_DIAGONAL
     return owner, lo, hi, count.astype(int), side
@@ -354,24 +361,27 @@ def radial_velocity(prof, params: Params, r) -> np.ndarray | float:
 
     negative wherever f is nondecreasing (the velocity points inward) and
     exactly zero at r = 0.  Each target is evaluated by one fixed rule
-    (`_radial_panels`): 16 uniform background panels with 16 Gauss points,
-    split at the profile's `breakpoints`, and two diagonal panels
-    [r - h, r] and [r, r + h] on which rho = r -+ h t^6 takes 16 Gauss points
-    in t, graded outward at r -+ h 2^k to one background width, with 4 to 10
-    points on every narrower panel: 384 to 422 Psi_n points per target
-    inside the support on the shipped families, 1,727 on 384 markers and
-    2,243 on 512.  Targets beyond the support keep the background and are
-    graded toward its edge instead, so the certification sweep's targets
-    carry 256 to 1,607 points: the most at the certifier's innermost nodes
-    (down to 1e-40), whose diagonal grading doubles out from r / 2 to a
-    background width.  No node lies on rho = r.  The panels are laid
-    for _PANELS (64) targets at a time and Psi_n is evaluated once per block
-    of _BLOCK (8) targets (`_radial_sums`, which the characteristics solver
-    shares); each target is reduced over its own nodes, so its value is bit
-    for bit the same in any batch.  No error estimate is returned.  Against
-    nested adaptive quadrature split at the breakpoints the measured error
-    is at most 3e-12 relative on the shipped families (splines included) and
-    on marker profiles, from r = 1e-6 to 40, at breakpoints +- 1e-9 and at
+    (`_radial_panels`): 16 uniform background panels, split at the
+    profile's `breakpoints`, and two diagonal panels [r - h, r] and
+    [r, r + h] on which rho = r -+ h t^6 takes 16 Gauss points in t, graded
+    outward at r -+ h 2^k to one background width.  Every other panel takes
+    the Gauss points its distance from r allows (4 to 10 on a narrower
+    panel, 4 to 16 on a background panel, which also counts its distance
+    from the support's edge): 140 to 304 Psi_n points per target inside the
+    support on the shipped families, 1,727 on 384 markers and 2,243 on 512
+    (every marker interval is a panel).  Targets beyond the support keep
+    the background and are graded toward its edge instead, so a
+    certification cell's targets carry 136 to 1,497 points: the most at the
+    certifier's innermost nodes (down to 1e-40), whose diagonal grading
+    doubles out from r / 2 to a background width.  No node lies on rho = r.
+    The panels are laid for _PANELS (64) targets at a time and Psi_n is
+    evaluated once per block of _BLOCK (16) targets (`_radial_sums`, which
+    the characteristics solver shares); each target is reduced over its own
+    nodes, so its value is bit for bit the same in any batch.  No error
+    estimate is returned.  Against nested adaptive quadrature split at the
+    breakpoints the measured error is at most 3e-12 relative on the shipped
+    families (splines included) and on marker profiles, from r = 1e-6 to 40,
+    at breakpoints +- 1e-9, on both sides of the support's edge and at
     a = 0.02 to 4.  Where c = (a/r)^2 is small the two closed forms of Psi_n
     cancel, up to about 1e-16 / c; `psi` integrates directly below
     c ~ 1e-3, so at a = 0.1 the error peaks near 2.5e-13 at r ~ 3-4 and

@@ -108,6 +108,17 @@ class TestScalarField:
         f = ScalarField(g, rng.standard_normal(g.shape))
         assert f.l2_norm() == pytest.approx(_real_l2(f), rel=1e-10)
 
+    @pytest.mark.parametrize("n, N", [(2, 48), (2, 256), (3, 16), (3, 24)])
+    def test_real_ffts_are_scipys_bits(self, rng, n, N):
+        # NumPy's own rfftn differs in 3-D and its irfftn where N is not a
+        # power of two; the package's passes must not
+        g = make_grid(n, 2.0, N)
+        f = ScalarField(g, rng.standard_normal(g.shape))
+        assert np.array_equal(f.half_spectrum, sfft.rfftn(f.values))
+        sp = f.half_spectrum * (0.3 - 1.0j)
+        assert np.array_equal(ScalarField.from_half_spectrum(g, sp).values,
+                              sfft.irfftn(sp, s=g.shape))
+
     def test_values_are_immutable(self):
         g = make_grid(2, 1.0, 8)
         f = ScalarField(g, np.zeros(g.shape))
@@ -382,14 +393,15 @@ class TestPiecewisePoly:
 
 
 def test_import_leaves_scipy_interpolation_unloaded():
-    # a fresh interpreter: the package builds its own monotone cubics, and
-    # only the direct 2-D/3-D quadrature loads SciPy's splines, on first use
+    # a fresh interpreter: the package builds its own monotone cubics and
+    # real FFTs; only the direct 2-D/3-D quadrature loads SciPy's splines,
+    # and only `evaluate_at` SciPy's FFT, on first use
     src = os.path.dirname(os.path.dirname(os.path.abspath(screened_transport.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, screened_transport, screened_transport.runner; "
-            "print(sorted(m for m in ('scipy.interpolate', 'scipy.ndimage', 'scipy.optimize') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.ndimage', 'scipy.optimize', "
+            "'scipy.fft') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"

@@ -71,6 +71,15 @@ class TestRadialRhs:
         assert v[0] == 0.0
         assert np.all(np.abs(v[1:] - want[1:]) <= 1e-13 * np.abs(want[1:]))
 
+    def test_label_rule_points_per_target_at_384_markers(self):
+        # the criterion-7 marker count on the shipped bump: 172.8 Psi_n
+        # points per target measured, bounded 15% above
+        labels = blended_markers(384, 1.0)
+        datum = bump_profile(1.0, 1.0, 4.0)
+        state = RadialState(0.0, labels, labels.copy(), datum.value(labels), datum)
+        sizes = [size for _, _, _, size in radial._label_nodes(state, P2.a)]
+        assert np.concatenate(sizes).sum() <= 199 * 383
+
     @pytest.mark.parametrize("markers, checked, bound", [
         (32, [1, 2, 3, 4, 5, 6, 8, 12, 20, 31], 1e-5),
         (96, [2, 5, 7, 11, 15, 40, 95], 5e-5),
@@ -79,8 +88,8 @@ class TestRadialRhs:
                                                                    bound):
         # the flow map's knots (the labels) are not panel ends of the label
         # rule, so on the crushed core of a run at its gradient stop (gap
-        # ratio 4e-4) it carries an error of at most 5.5e-6 with 32 markers
-        # and 2.4e-5 (at marker 11) with 96; the reference splits at every
+        # ratio 4e-4) it carries an error of at most 5.2e-6 with 32 markers
+        # and 2.3e-5 (at marker 11) with 96; the reference splits at every
         # label, on the same flow map and f_0'
         datum = bump_profile(1.0, 1.0, 4.0)
         res = run_radial(datum, P2, t_max=5.0, markers=markers, output_interval=0.5)

@@ -318,11 +318,14 @@ class TestRadialVelocity:
         # an independent evaluation of the definition of u_r by adaptive
         # quadrature in both variables (no kernels or transform code); at
         # a = 0.02 the screened part of Psi_n varies on the scale a around
-        # rho = r, narrower than the diagonal panels would be without a / 2
+        # rho = r, narrower than the diagonal panels would be without a / 2;
+        # next to and beyond the support's edge, where the bump's f' is not
+        # analytic, the background panels must keep their Gauss points
         prof = bump_profile(1.0, 1.0, 3.0)
-        for r in (0.4, 0.9, 2.5):
+        for r in (0.4, 0.9, 0.95, 0.999, 1.001, 1.05, 2.5):
             want = _nested_quad_velocity(prof, n, a, r)
-            assert radial_velocity(prof, Params(n, a, 1.0), r) == pytest.approx(want, rel=1e-10)
+            got = radial_velocity(prof, Params(n, a, 1.0), r)
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_batch_equals_scalar_calls_bitwise(self):
         # a target's value must not depend on the other targets of the call
@@ -352,7 +355,7 @@ class TestRadialVelocity:
     def test_panels_laid_per_64_targets_match_per_block(self, monkeypatch):
         # 130 targets on spline seed 6 (inner breakpoints, targets beyond the
         # support): the panels, nodes and w f' are formed for 64, 64 and 2
-        # targets and cut into blocks of 8, with the bits of panels laid
+        # targets and cut into blocks of _BLOCK, with the bits of panels laid
         # block by block
         prof = TestFunctionFamily("random_monotone_spline", seed=6).sample()
         L = prof.support_radius
@@ -368,10 +371,11 @@ class TestRadialVelocity:
 
         monkeypatch.setattr(transform, "_radial_panels", counted_panels)
         got = list(transform._radial_blocks(x, L, prof.breakpoints, 0.5, prof.derivative))
+        B = transform._BLOCK
         assert laid == [64, 64, 2]
-        assert len(got) == 17
+        assert 64 % B == 0 and len(got) == 2 * (64 // B) + 1
         for k, (mine, rho, wf, size) in enumerate(got):
-            assert np.array_equal(mine, np.arange(8 * k, min(8 * k + 8, 130)))
+            assert np.array_equal(mine, np.arange(B * k, min(B * k + B, 130)))
             owner, lo, hi, count, side = panels(x[mine], L, inner, 0.5)
             want_rho, want_wt = transform._radial_nodes(lo, hi, count, side)
             assert np.array_equal(rho, want_rho)
@@ -427,6 +431,21 @@ class TestRadialVelocity:
         got = radial_velocity(prof, Params(2, 1.0, 1.0), r)
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("x", [0.1, 2.5])
+    def test_background_panels_take_the_points_their_distance_allows(self, x):
+        # a target inside the support and one beyond it: background panels
+        # at least 4 widths from both the target and the edge take fewer
+        # than _N_BACKGROUND points, the one that ends at the edge all of them
+        L = 1.0
+        width = L / transform._BACKGROUND
+        _, lo, hi, count, side = transform._radial_panels(np.array([x]), L, np.array([]), 0.3)
+        wide = (hi - lo >= 0.5 * width) & (side == 0)
+        far = wide & (np.minimum(np.abs(lo - x), np.abs(hi - x)) >= 4 * width) \
+            & (L - hi >= 4 * width)
+        assert np.count_nonzero(far) >= 6
+        assert np.all(count[far] < transform._N_BACKGROUND)
+        assert list(count[wide & (hi == L)]) == [transform._N_BACKGROUND]
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_no_node_on_the_diagonal(self, n, psi_inputs):
         # r -+ h t^6 rounds to r at the smallest t once h < r / 200; next to
@@ -448,15 +467,17 @@ class TestRadialVelocity:
         got = radial_velocity(prof, Params(3, 0.5, 1.0), r)
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
-    @pytest.mark.parametrize("prof", [bump_profile(1.0, 1.0, 2.0),
-                                      TestFunctionFamily("random_monotone_spline", seed=35).sample()],
-                             ids=["bump", "spline_seed35"])
-    def test_points_per_target_on_criterion_4_cells(self, prof, psi_inputs):
-        # the targets of a certification cell: the nodes of the graded rule
+    @pytest.mark.parametrize("prof, most", [
+        (bump_profile(1.0, 1.0, 2.0), 232),
+        (TestFunctionFamily("random_monotone_spline", seed=35).sample(), 318),
+    ], ids=["bump", "spline_seed35"])
+    def test_points_per_target_on_criterion_4_cells(self, prof, most, psi_inputs):
+        # the targets of a certification cell: the nodes of the graded rule;
+        # 201.7 and 276.6 Psi_n points per target measured, bounded 15% above
         from screened_transport.kernels import graded_rule
         r, _, _ = graded_rule(prof.support_radius, prof.breakpoints)
         radial_velocity(prof, Params(2, 1.0, 1.0), r)
-        assert sum(map(np.size, psi_inputs)) <= 500 * len(r)
+        assert sum(map(np.size, psi_inputs)) <= most * len(r)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("prof", [bump_profile(2.0, 1.0, 4.0),
@@ -470,9 +491,9 @@ class TestRadialVelocity:
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_psi_points_and_calls_per_block(self, monkeypatch):
-        # about 400 Psi_n points per target on the bump, evaluated in one
-        # psi call per block of 8 targets; c = (a / r)^2 tells the targets
-        # of a call apart
+        # about 200 Psi_n points per target on the bump, evaluated in one
+        # psi call per block of _BLOCK targets; c = (a / r)^2 tells the
+        # targets of a call apart
         calls = []
         psi = transform.psi
 
@@ -482,13 +503,14 @@ class TestRadialVelocity:
 
         monkeypatch.setattr(transform, "psi", counted_psi)
         bump = bump_profile(1.0, 1.0, 1.0)
+        B = transform._BLOCK
         radial_velocity(bump, Params(2, 1.0, 1.0), np.array([0.0, 0.3, 0.9, 1.7]))
         assert [k for _, k in calls] == [3]
         assert calls[0][0] <= 3 * 800
         calls.clear()
-        radial_velocity(bump, Params(2, 1.0, 1.0), np.geomspace(1e-6, 3.0, 9))
-        assert [k for _, k in calls] == [8, 1]
-        assert calls[0][0] <= 8 * 800 and calls[1][0] <= 800
+        radial_velocity(bump, Params(2, 1.0, 1.0), np.geomspace(1e-6, 3.0, B + 1))
+        assert [k for _, k in calls] == [B, 1]
+        assert calls[0][0] <= B * 800 and calls[1][0] <= 800
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_tiny_radius_is_the_linear_term(self, n):
