@@ -6,10 +6,10 @@ wavenumber set is {-N/2, ..., N/2-1} * (pi / half_width).  Odd (imaginary)
 symbols zero the unpaired Nyquist modes so that real fields stay real.
 
 Every field is real, so the spectral operators act on the `rfftn` half
-spectrum (last axis 0..N/2) and transform back with `irfftn`, both built
-from `numpy.fft` passes with SciPy's bits.  Norms are
-Parseval sums over it: each half-grid column stands for itself and its
-mirror (weight 2), except the zero and Nyquist columns (weight 1).
+spectrum (last axis 0..N/2) and transform back with `irfftn`, both from
+`sfft` (SciPy's bits).  Norms are Parseval sums over it: each half-grid
+column stands for itself and its mirror (weight 2), except the zero and
+Nyquist columns (weight 1).
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .sfft import irfftn, rfftn
 
 __all__ = [
     "Params",
@@ -229,28 +231,6 @@ class Grid:
 def make_grid(n: int, half_width: float, N: int) -> Grid:
     """Build a periodic grid; rejects odd N and nonpositive half_width."""
     return Grid(n, half_width, N)
-
-
-def rfftn(x: np.ndarray) -> np.ndarray:
-    """SciPy's `rfftn(x)` bit for bit from one-axis `numpy.fft` passes:
-    `rfft` on the last axis, then `fft` over axes 0..n-2 in increasing order
-    (`numpy.fft.rfftn` runs them in decreasing order, other bits in 3-D)."""
-    sp = np.fft.rfft(x)
-    for axis in range(x.ndim - 1):
-        sp = np.fft.fft(sp, axis=axis)
-    return sp
-
-
-def irfftn(sp: np.ndarray, shape) -> np.ndarray:
-    """SciPy's `irfftn(sp, s=shape)` bit for bit: unscaled `ifft` over axes
-    0..n-2 in increasing order, `irfft` on the last axis, then one scaling
-    by 1 / N^n (`numpy.fft.irfftn` scales each pass, other bits unless N is
-    a power of two)."""
-    for axis in range(len(shape) - 1):
-        sp = np.fft.ifft(sp, axis=axis, norm="forward")
-    out = np.fft.irfft(sp, n=shape[-1], norm="forward")
-    out *= 1.0 / out.size
-    return out
 
 
 class ScalarField:

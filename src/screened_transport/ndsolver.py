@@ -10,11 +10,10 @@ no longer resolves the solution.
 
 The state RK4 advances is the `rfftn` half spectrum, not the samples: one
 right-hand side costs n + n inverse and one forward real FFT, and a step
-adds one inverse FFT for the new samples (21 real FFTs per step in 2-D).
-Each real FFT is n one-axis `numpy.fft` passes written into work arrays
-(42 passes per 2-D step), in the order that gives scipy's `rfftn` and
-`irfftn` bit for bit.  The right-hand side vanishes outside the 2/3 band, so
-the modes there keep their initial values exactly.
+adds one inverse FFT for the new samples (21 real FFTs per step in 2-D,
+each a call of `sfft`, which gives SciPy's bits and writes into the run's
+work arrays).  The right-hand side vanishes outside the 2/3 band, so the
+modes there keep their initial values exactly.
 
 `run_nd` drives `rk4.time_loop`.  It tests the gradient threshold only on
 recorded rows, because the max gradient costs two FFTs.  It keeps no
@@ -27,14 +26,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from itertools import cycle
 
 import numpy as np
-import numpy.fft as sfft
 
+from . import sfft
 from .blowup import BlowupConfig, DiagnosticsSeries, blowup_functional
 from .fields import Grid, Params, ScalarField, max_gradient, sobolev_norm
 from .rk4 import DT_MIN, Stop, rk4, time_loop
+from .transform import screened_riesz_symbols
 
 __all__ = [
     "NdState",
@@ -60,56 +59,26 @@ class _Workspace:
     """Per-run half-grid multipliers with the 2/3 mask folded in, and the work
     arrays every advection writes into (no sharing across concurrent runs).
 
-    A transform is one-axis passes with `out=`.  The inverse runs `ifft`
-    over axes 0..n-2 in increasing order, then `irfft` on the last axis,
-    then scales by 1/N^n once; the forward runs `rfft` on the last axis,
-    then `fft` over axes 0..n-2.  Both match scipy's `irfftn`/`rfftn` bit
-    for bit.  In the advection the leading-axis passes of the inverse touch
-    only the last-axis columns inside the 2/3 band (86 of 129 at N = 256);
-    the other columns of their outputs stay zero.
+    The advection's inverse FFTs run their leading-axis passes only over the
+    last-axis columns inside the 2/3 band (86 of 129 at N = 256), in the
+    `banded` work arrays, whose other columns stay zero.
     """
 
     def __init__(self, grid: Grid, params: Params):
-        self.n = grid.n
         self.shape = grid.shape
-        self.scale = 1.0 / grid.size
         mask = grid.half_dealias_mask
         self.band = slice(None, int(np.flatnonzero(
-            mask.any(axis=tuple(range(self.n - 1)))).max()) + 1)
-        screen = -np.expm1(-params.a * grid.half_wavenumber_magnitude)
-        self.vel_mult = [-1j * s * screen * mask for s in grid.half_unit_directions]
+            mask.any(axis=tuple(range(grid.n - 1)))).max()) + 1)
+        self.vel_mult = [m * mask for m in screened_riesz_symbols(grid, params.a)]
         self.grad_mult = [m * mask for m in grid.half_gradient_symbols]
         # complex, like every operand of the multiplies below: a ufunc that
         # casts or reads strided operands allocates buffers
         self.out_mult = (-params.g * mask).astype(complex)
         # the second array of each pair ping-pongs a second leading axis (n >= 3)
-        pair = range(min(self.n - 1, 2))
+        pair = range(min(grid.n - 1, 2))
         self.full = [np.empty(mask.shape, complex) for _ in pair]
         self.banded = [np.zeros(mask.shape, complex) for _ in pair]
         self.u, self.w, self.adv, self.u2 = (np.empty(self.shape) for _ in range(4))
-
-    def _inverse(self, sp, out, bufs, cols=slice(None)):
-        for axis, dst in zip(range(self.n - 1), cycle(bufs)):
-            sfft.ifft(sp[..., cols], axis=axis, norm="forward", out=dst[..., cols])
-            sp = dst
-        sfft.irfft(sp, n=self.shape[-1], norm="forward", out=out)
-        out *= self.scale
-        return out
-
-    def inverse(self, sp: np.ndarray) -> np.ndarray:
-        """`irfftn(sp)` into a new array."""
-        return self._inverse(sp, np.empty(self.shape), self.full)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """`rfftn(x)` into a new array."""
-        out, work = np.empty(self.full[0].shape, complex), self.full[0]
-        # the passes alternate between the two arrays and end in `out`
-        dst = out if self.n % 2 else work
-        sfft.rfft(x, out=dst)
-        for axis in range(self.n - 1):
-            src, dst = dst, (work if dst is out else out)
-            sfft.fft(src, axis=axis, out=dst)
-        return out
 
     def advection(self, sp: np.ndarray):
         """Half spectrum -> (half spectrum of -g * dealiased advection, max
@@ -119,14 +88,14 @@ class _Workspace:
         u2.fill(0.0)
         for vm, gm in zip(self.vel_mult, self.grad_mult):
             np.multiply(vm, sp, out=prod)
-            self._inverse(prod, u, self.banded, band)
+            sfft.irfftn(prod, self.shape, out=u, work=self.banded, cols=band)
             np.multiply(gm, sp, out=prod)
-            self._inverse(prod, w, self.banded, band)
+            sfft.irfftn(prod, self.shape, out=w, work=self.banded, cols=band)
             w *= u
             adv += w
             u *= u
             u2 += u
-        out = self.forward(adv)
+        out = sfft.rfftn(adv, work=self.full)
         return np.multiply(self.out_mult, out, out=out), float(np.sqrt(u2.max()))
 
 
@@ -157,7 +126,7 @@ def step_rk4(state: NdState, dt: float, workspace: _Workspace | None = None, k1=
         new = rk4(sp, dt, k1, lambda y: ws.advection(y)[0])
         if not np.isfinite(new).all():
             return state, Stop.NONFINITE
-        rho = ScalarField(grid, ws.inverse(new), _half_spectrum=new)
+        rho = ScalarField(grid, sfft.irfftn(new, ws.shape, work=ws.full), _half_spectrum=new)
     return replace(state, time=state.time + dt, rho=rho), None
 
 

@@ -41,7 +41,8 @@ from . import transform
 from .blowup import BlowupConfig, DiagnosticsSeries, blowup_functional
 from .fields import Params, RadialProfile, pchip
 from .rk4 import Stop, rk4, time_loop
-# not called here: bench/tracing.py wraps radial.radial_velocity
+# not called here: bench/tracing.py wraps radial.radial_velocity, and
+# tests/test_tracing.py fails if it is gone
 from .transform import radial_velocity  # noqa: F401
 
 __all__ = [

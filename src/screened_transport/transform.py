@@ -25,12 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .fields import Params, ScalarField, VectorField, irfftn
+from .fields import Params, ScalarField, VectorField
 from .kernels import gauss_panels, psi
+from .sfft import irfftn
 
 __all__ = [
     "LimitReport",
     "screened_riesz",
+    "screened_riesz_symbols",
     "screened_riesz_direct",
     "screened_riesz_divergence",
     "conjugate_poisson",
@@ -41,11 +43,17 @@ __all__ = [
 ]
 
 
-def _apply_directional(f: ScalarField, radial_multiplier) -> VectorField:
-    g = f.grid
-    sp = f.half_spectrum
-    return VectorField(g, [irfftn(-1j * s * radial_multiplier * sp, g.shape)
-                           for s in g.half_unit_directions])
+def _directional_symbols(grid, radial_multiplier) -> list:
+    return [-1j * s * radial_multiplier for s in grid.half_unit_directions]
+
+
+def screened_riesz_symbols(grid, a: float) -> list:
+    """The half-grid symbols -i k_j/|k| (1 - e^{-a|k|}) of R_a, j = 1..n."""
+    return _directional_symbols(grid, -np.expm1(-a * grid.half_wavenumber_magnitude))
+
+
+def _apply(f: ScalarField, symbols) -> VectorField:
+    return VectorField(f.grid, [irfftn(m * f.half_spectrum, f.grid.shape) for m in symbols])
 
 
 def screened_riesz(f: ScalarField, params: Params) -> VectorField:
@@ -56,19 +64,18 @@ def screened_riesz(f: ScalarField, params: Params) -> VectorField:
     """
     if params.n != f.grid.n:
         raise ValueError("params dimension does not match the grid")
-    mult = -np.expm1(-params.a * f.grid.half_wavenumber_magnitude)
-    return _apply_directional(f, mult)
+    return _apply(f, screened_riesz_symbols(f.grid, params.a))
 
 
 def conjugate_poisson(f: ScalarField, params: Params) -> VectorField:
     """Spectral multiplier -i k_j/|k| e^{-a|k|} (the smooth part of the kernel)."""
     mult = np.exp(-params.a * f.grid.half_wavenumber_magnitude)
-    return _apply_directional(f, mult)
+    return _apply(f, _directional_symbols(f.grid, mult))
 
 
 def riesz(f: ScalarField) -> VectorField:
     """Riesz transform, multiplier -i k_j/|k|; the mean maps to zero by convention."""
-    return _apply_directional(f, 1.0)
+    return _apply(f, _directional_symbols(f.grid, 1.0))
 
 
 def screened_riesz_divergence(f: ScalarField, params: Params) -> ScalarField:

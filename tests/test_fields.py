@@ -27,6 +27,7 @@ from screened_transport import (
 )
 from screened_transport.fields import PiecewisePoly, hermite, pchip, profile_to_csv
 from screened_transport.inequalities import TestFunctionFamily
+from screened_transport.sfft import irfftn, rfftn
 
 from conftest import full_grid
 
@@ -108,16 +109,21 @@ class TestScalarField:
         f = ScalarField(g, rng.standard_normal(g.shape))
         assert f.l2_norm() == pytest.approx(_real_l2(f), rel=1e-10)
 
-    @pytest.mark.parametrize("n, N", [(2, 48), (2, 256), (3, 16), (3, 24)])
+    @pytest.mark.parametrize("n, N", [(2, 48), (2, 64), (2, 96), (2, 256), (3, 16), (3, 24)])
     def test_real_ffts_are_scipys_bits(self, rng, n, N):
         # NumPy's own rfftn differs in 3-D and its irfftn where N is not a
-        # power of two; the package's passes must not
+        # power of two; the package's passes must not, whether they allocate
+        # their arrays or write into the caller's.  n = 3 pins the increasing
+        # order of the leading axes and N = 48, 96 the one 1/N^n scaling
         g = make_grid(n, 2.0, N)
-        f = ScalarField(g, rng.standard_normal(g.shape))
-        assert np.array_equal(f.half_spectrum, sfft.rfftn(f.values))
-        sp = f.half_spectrum * (0.3 - 1.0j)
-        assert np.array_equal(ScalarField.from_half_spectrum(g, sp).values,
-                              sfft.irfftn(sp, s=g.shape))
+        x = rng.standard_normal(g.shape)
+        sp = sfft.rfftn(rng.standard_normal(g.shape)) * (0.3 - 1.0j)
+        work = [np.empty(sp.shape, complex) for _ in range(min(n - 1, 2))]
+        out = np.empty(g.shape)
+        for got in (rfftn(x), rfftn(x, work=work)):
+            assert np.array_equal(got, sfft.rfftn(x))
+        for got in (irfftn(sp, g.shape), irfftn(sp, g.shape, out=out, work=work), out):
+            assert np.array_equal(got, sfft.irfftn(sp, s=g.shape))
 
     def test_values_are_immutable(self):
         g = make_grid(2, 1.0, 8)
