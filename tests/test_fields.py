@@ -109,12 +109,12 @@ class TestScalarField:
         f = ScalarField(g, rng.standard_normal(g.shape))
         assert f.l2_norm() == pytest.approx(_real_l2(f), rel=1e-10)
 
-    @pytest.mark.parametrize("n, N", [(2, 48), (2, 64), (2, 96), (2, 256), (3, 16), (3, 24)])
+    @pytest.mark.parametrize("n, N", [(2, 48), (2, 256), (3, 16), (3, 24)])
     def test_real_ffts_are_scipys_bits(self, rng, n, N):
         # NumPy's own rfftn differs in 3-D and its irfftn where N is not a
         # power of two; the package's passes must not, whether they allocate
         # their arrays or write into the caller's.  n = 3 pins the increasing
-        # order of the leading axes and N = 48, 96 the one 1/N^n scaling
+        # order of the leading axes and N = 48 the one 1/N^n scaling
         g = make_grid(n, 2.0, N)
         x = rng.standard_normal(g.shape)
         sp = sfft.rfftn(rng.standard_normal(g.shape)) * (0.3 - 1.0j)

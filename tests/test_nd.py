@@ -23,6 +23,7 @@ from screened_transport import (
 from screened_transport import ndsolver
 from screened_transport.blowup import DiagnosticsSeries
 from screened_transport.ndsolver import _Workspace, _cfl_dt
+from screened_transport.sfft import irfftn, rfftn
 
 from conftest import full_grid
 
@@ -129,6 +130,31 @@ class TestAdvectionOracle:
 
 
 class TestWorkspaceTransforms:
+    @staticmethod
+    def transforms(n, N):
+        """(result, scipy result) for the forward and the inverse real FFT
+        written through the workspace's own work and output arrays."""
+        rng = np.random.default_rng(7 * n + N)
+        g = make_grid(n, 3.0, N)
+        ws = _Workspace(g, Params(n, 0.7, 1.3))
+        x = rng.standard_normal(g.shape)
+        sp = sfft.rfftn(rng.standard_normal(g.shape))
+        return [(rfftn(x, work=ws.full), sfft.rfftn(x)),
+                (irfftn(sp, g.shape, out=ws.u, work=ws.full), sfft.irfftn(sp, s=g.shape))]
+
+    @pytest.mark.parametrize("n,N", [(2, 64), (2, 96), (3, 16)])
+    def test_match_scipy(self, n, N):
+        for got, expect in self.transforms(n, N):
+            assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("n,N", [(2, 64), (2, 96), (3, 16)])
+    def test_bit_identical_to_scipy(self, n, N):
+        # n = 3 pins the increasing order of the leading axes and N = 96 the
+        # one 1/N^n scaling of the inverse: either change moves only the
+        # last bit (3e-16 of the largest value), inside test_match_scipy's bound
+        for got, expect in self.transforms(n, N):
+            assert np.array_equal(got, expect)
+
     @pytest.mark.parametrize("n,N", [(2, 64), (3, 16)])
     def test_advection_is_the_full_width_scipy_advection(self, n, N):
         # the banded inverse skips only columns the 2/3 mask zeroes, so the
